@@ -29,6 +29,7 @@ module Snapshot = Wlcq_obs.Snapshot
 module Budget = Wlcq_robust.Budget
 module Dispatch = Wlcq_dispatch.Dispatch
 module Cache = Wlcq_cache.Cache
+module Steer = Wlcq_oracle.Steer
 
 let parse s = (Parser.parse_exn s).Parser.query
 
@@ -811,9 +812,10 @@ let f1 () =
   run_timing "F1-hom-counting" tests
 
 (* ------------------------------------------------------------------ *)
-(* F1b: packed-key DP vs the list-keyed reference engines, plus the    *)
-(* shared-decomposition batch entry point — the PR4 acceptance series. *)
-(* Machine-readable timings for F1/F1b/F3/F3b land in BENCH_PR4.json.  *)
+(* F1b: the packed-key DP against brute counting and answer           *)
+(* enumeration, plus the shared-decomposition batch entry point — the  *)
+(* PR4 acceptance series.  Machine-readable timings for F1/F1b/F3 land *)
+(* in BENCH_PR4.json.                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let write_bench_json ~pr file =
@@ -837,8 +839,7 @@ let write_bench_json ~pr file =
   Printf.printf "\nbench rows written to %s\n" file
 
 let f1b () =
-  header "F1b"
-    "packed-key DP vs reference engines + batch API (PR4 acceptance)";
+  header "F1b" "packed-key DP vs brute and enumeration + batch API";
   pr4_rows := [];
   Printf.printf "%-22s %-3s %12s %12s %9s %-7s\n" "instance" "n" "old" "new"
     "speedup" "verdict";
@@ -865,22 +866,6 @@ let f1b () =
          (repeat (fun () -> Wlcq_hom.Td_count.count_with_decomposition d h g))
          Bigint.equal)
     [ 10; 20; 40 ];
-  (* F1b proper: the retired list-keyed engine vs the packed engine;
-     the >= 3x bound is enforced on the largest F1 instance *)
-  let rng = Prng.create 41 in
-  List.iter
-    (fun n ->
-       let g = G.Gen.gnp rng n 0.3 in
-       let d = TW.Exact.optimal_decomposition h in
-       let min_speedup = if n = 40 then 3.0 else 0.0 in
-       speedup_row ~min_speedup ~series:"F1b"
-         (Printf.sprintf "ref-vs-packed/gnp%d" n)
-         n
-         (repeat (fun () ->
-              Wlcq_hom.Td_count.count_with_decomposition_reference d h g))
-         (repeat (fun () -> Wlcq_hom.Td_count.count_with_decomposition d h g))
-         Bigint.equal)
-    [ 10; 20; 40 ];
   (* F3 shape: answer enumeration vs the Corollary 4 DP (packed) *)
   let gq = G.Builders.grid 3 4 in
   let q3 = Gen_query.quantified_path 2 in
@@ -888,15 +873,8 @@ let f1b () =
     (repeat (fun () -> Bigint.of_int (Cq.count_answers q3 gq)))
     (repeat (fun () -> Fast_count.count_answers q3 gq))
     Bigint.equal;
-  (* F3b shape: the retired Fast_count enumeration vs the packed DP *)
-  let full_path k = Cq.make (G.Builders.path k) (List.init k (fun i -> i)) in
-  let q5 = full_path 5 in
-  speedup_row ~series:"F3b" "fastref-vs-packed/path5" 12
-    (repeat (fun () -> Fast_count.count_answers_reference q5 gq))
-    (repeat (fun () -> Fast_count.count_answers q5 gq))
-    Bigint.equal;
   (* batch acceptance: count_many on the T3 extension family must beat
-     L independent count calls; the decomposition memo is cleared per
+     L independent count calls; the cache tier is cleared per
      repetition so both sides pay cold-cache decomposition costs *)
   let core =
     Minimize.counting_core (parse "(x1, x2) := exists y . E(x1, y) & E(x2, y)")
@@ -910,11 +888,9 @@ let f1b () =
   speedup_row ~min_speedup:1.0 ~series:"F1b" "count_many-vs-L-counts" ell_max
     (repeat (fun () ->
          Cache.clear ();
-         TW.Exact.clear_decomposition_memo ();
          List.map (fun p -> Wlcq_hom.Td_count.count p gt) patterns))
     (repeat (fun () ->
          Cache.clear ();
-         TW.Exact.clear_decomposition_memo ();
          Wlcq_hom.Td_count.count_many patterns gt))
     list_agree;
   write_bench_json ~pr:4 "BENCH_PR4.json"
@@ -924,13 +900,12 @@ let f1b () =
 (* the auto engine against the best old engine for that instance and   *)
 (* enforces a universal >= 1.0x floor, so small-case speed can no      *)
 (* longer be traded for large-case wins silently; the PR4 large-       *)
-(* instance wins keep their own floors (>= 12x brute-vs-dp/gnp40,      *)
-(* >= 3x ref-vs-packed/gnp40).  Rows land in BENCH_PR6.json.           *)
+(* instance win keeps its own floor (>= 12x brute-vs-dp/gnp40).  Rows  *)
+(* land in BENCH_PR6.json.                                             *)
 (* ------------------------------------------------------------------ *)
 
 let f5 () =
   header "F5" "adaptive dispatch: auto >= 1.0x vs best-of-old on every row";
-  Dispatch.set_engine Dispatch.Auto;
   pr4_rows := [];
   Printf.printf "%-22s %-3s %12s %12s %9s %-7s\n" "instance" "n" "old" "new"
     "speedup" "verdict";
@@ -959,21 +934,6 @@ let f5 () =
          (repeat (fun () -> Wlcq_hom.Td_count.count_with_decomposition d h g))
          Bigint.equal)
     [ 10; 20; 40 ];
-  (* list-keyed reference vs auto on the same ladder *)
-  let rng = Prng.create 41 in
-  List.iter
-    (fun n ->
-       let g = G.Gen.gnp rng n 0.3 in
-       let d = TW.Exact.optimal_decomposition h in
-       let min_speedup = if n = 40 then 3.0 else 1.0 in
-       speedup_row ~min_speedup ~series:"F5"
-         (Printf.sprintf "ref-vs-packed/gnp%d" n)
-         n
-         (repeat (fun () ->
-              Wlcq_hom.Td_count.count_with_decomposition_reference d h g))
-         (repeat (fun () -> Wlcq_hom.Td_count.count_with_decomposition d h g))
-         Bigint.equal)
-    [ 10; 20; 40 ];
   (* the other regressed row: answer enumeration vs auto, which now
      routes this tiny instance to the tabulating enumeration kernel *)
   let gq = G.Builders.grid 3 4 in
@@ -981,13 +941,6 @@ let f5 () =
   speedup_row ~min_speedup:1.0 ~series:"F5" "enum-vs-fast/qpath2" 12
     (repeat (fun () -> Bigint.of_int (Cq.count_answers q3 gq)))
     (repeat (fun () -> Fast_count.count_answers q3 gq))
-    Bigint.equal;
-  (* a full-path query stays on the packed DP under auto *)
-  let full_path k = Cq.make (G.Builders.path k) (List.init k (fun i -> i)) in
-  let q5 = full_path 5 in
-  speedup_row ~min_speedup:1.0 ~series:"F5" "fastref-vs-packed/path5" 12
-    (repeat (fun () -> Fast_count.count_answers_reference q5 gq))
-    (repeat (fun () -> Fast_count.count_answers q5 gq))
     Bigint.equal;
   (* k-WL: list-bucketed reference vs the probe-table engine *)
   let even, odd = Wlcq_cfi.Pairs.twisted_pair (G.Builders.cycle 6) in
@@ -1009,11 +962,9 @@ let f5 () =
   speedup_row ~min_speedup:1.0 ~series:"F5" "count_many-vs-L-counts" ell_max
     (repeat (fun () ->
          Cache.clear ();
-         TW.Exact.clear_decomposition_memo ();
          List.map (fun p -> Wlcq_hom.Td_count.count p gt) patterns))
     (repeat (fun () ->
          Cache.clear ();
-         TW.Exact.clear_decomposition_memo ();
          Wlcq_hom.Td_count.count_many patterns gt))
     list_agree;
   write_bench_json ~pr:6 "BENCH_PR6.json"
@@ -1030,7 +981,6 @@ let f5 () =
 
 let f8 () =
   header "F8" "content-addressed cache: repeated workloads warm vs cold";
-  Dispatch.set_engine Dispatch.Auto;
   pr4_rows := [];
   Printf.printf "%-22s %-3s %12s %12s %9s %-7s\n" "instance" "n" "cold" "warm"
     "speedup" "verdict";
@@ -1429,12 +1379,7 @@ let calibrate () =
       f ()
     done
   in
-  let timed e f =
-    Dispatch.set_engine e;
-    let _, t = wall_time_best (repeat f) in
-    Dispatch.set_engine Dispatch.Auto;
-    t
-  in
+  let timed c f = Steer.with_calibration c (fun () -> snd (wall_time_best (repeat f))) in
   (* hom engines along a gnp ladder: the brute cutoff is the largest
      estimated brute cost at which enumeration still wins *)
   Printf.printf "%-18s %12s %12s %12s %8s\n" "hom instance" "brute_cost"
@@ -1449,8 +1394,8 @@ let calibrate () =
          Dispatch.brute_cost ~nh:(G.Graph.num_vertices h) ~ng:n
            ~mg:(G.Graph.num_edges g)
        in
-       let tb = timed Dispatch.Brute (fun () -> ignore (Wlcq_hom.Td_count.count h g)) in
-       let tp = timed Dispatch.Packed (fun () -> ignore (Wlcq_hom.Td_count.count h g)) in
+       let tb = timed Steer.brute (fun () -> ignore (Wlcq_hom.Td_count.count h g)) in
+       let tp = timed Steer.packed (fun () -> ignore (Wlcq_hom.Td_count.count h g)) in
        if tb < tp then brute_max := max !brute_max cost;
        Printf.printf "%-18s %12d %10.2f ms %10.2f ms %8s\n"
          (Printf.sprintf "P4->gnp%d" n)
@@ -1468,8 +1413,8 @@ let calibrate () =
        let g = G.Builders.grid r c in
        let ng = G.Graph.num_vertices g in
        let space = Dispatch.sat_pow ng 2 in
-       let te = timed Dispatch.Brute (fun () -> ignore (Fast_count.count_answers q g)) in
-       let tp = timed Dispatch.Packed (fun () -> ignore (Fast_count.count_answers q g)) in
+       let te = timed Steer.brute (fun () -> ignore (Fast_count.count_answers q g)) in
+       let tp = timed Steer.packed (fun () -> ignore (Fast_count.count_answers q g)) in
        if te < tp then enum_max := max !enum_max space;
        Printf.printf "%-18s %12d %10.2f ms %10.2f ms %8s\n"
          (Printf.sprintf "qpath2->grid%dx%d" r c)
@@ -1727,7 +1672,7 @@ let ablation () =
   let g = G.Gen.gnp (Prng.create 321) 20 0.3 in
   let brute = Bigint.of_int (Wlcq_hom.Brute.count h g) in
   let td = Wlcq_hom.Td_count.count h g in
-  let nice = Wlcq_hom.Nice_count.count h g in
+  let nice = Wlcq_oracle.Nice_count.count h g in
   let ok = Bigint.equal brute td && Bigint.equal td nice in
   record ok;
   Printf.printf "Hom(C5, gnp20): brute=%s bag-dp=%s nice-dp=%s %s\n"
@@ -1740,7 +1685,7 @@ let ablation () =
         (Bechamel.Staged.stage (fun () -> ignore (Wlcq_hom.Td_count.count h g)));
       Bechamel.Test.make ~name:"nice-dp/C5->gnp20"
         (Bechamel.Staged.stage (fun () ->
-             ignore (Wlcq_hom.Nice_count.count h g))) ]
+             ignore (Wlcq_oracle.Nice_count.count h g))) ]
   in
   run_timing "A2-hom-counters" tests
 
@@ -1796,34 +1741,32 @@ let timing_smoke () =
   (* F1b: packed engine vs reference on a target with an isolated
      vertex — the isolated vertex is outside the support of every
      pattern position, so candidate pruning is guaranteed to fire.
-     Under auto these tiny instances route to the small-instance fast
-     paths (the point of the dispatch layer), so the packed machinery
-     and its tripwire counters below are driven by a forced run —
-     forcing reproduces the full arc-consistency + packed-table
-     pipeline regardless of instance size. *)
+     Under the default table these tiny instances route to the
+     small-instance fast paths (the point of the dispatch layer), so the
+     packed machinery and its tripwire counters below are driven by a
+     run steered through the calibration table, which reproduces the
+     full arc-consistency + packed-table pipeline regardless of
+     instance size. *)
   let hp = G.Builders.path 4 in
   let gp =
     G.Ops.disjoint_union (G.Gen.gnp (Prng.create 11) 8 0.4) (G.Graph.empty 1)
   in
-  Dispatch.set_engine Dispatch.Packed;
-  let packed_forced = Wlcq_hom.Td_count.count hp gp in
-  ignore (Fast_count.count_answers q g3);
-  Dispatch.set_engine Dispatch.Auto;
+  let packed_steered =
+    Steer.with_calibration Steer.packed (fun () ->
+        ignore (Fast_count.count_answers q g3);
+        Wlcq_hom.Td_count.count hp gp)
+  in
   let ok =
-    Bigint.equal packed_forced (Wlcq_hom.Td_count.count_reference hp gp)
-    && Bigint.equal packed_forced (Wlcq_hom.Td_count.count hp gp)
+    Bigint.equal packed_steered (Wlcq_oracle.Td_ref.count hp gp)
+    && Bigint.equal packed_steered (Wlcq_hom.Td_count.count hp gp)
   in
   record ok;
   Printf.printf
-    "F1b forced-packed = reference = auto on gnp8 + isolated vertex %s\n"
+    "F1b steered-packed = reference = auto on gnp8 + isolated vertex %s\n"
     (verdict ok);
-  (* exercise the remaining auto decision paths so every dispatch
-     counter asserted below has moved: a brute-cost instance, and a
-     forced reference run *)
+  (* exercise the remaining auto decision path so every dispatch
+     counter asserted below has moved: a brute-cost instance *)
   ignore (Wlcq_hom.Td_count.count (G.Builders.path 2) (G.Builders.path 3));
-  Dispatch.set_engine Dispatch.Reference;
-  ignore (Wlcq_hom.Td_count.count hp gp);
-  Dispatch.set_engine Dispatch.Auto;
   (* ---- observability tripwires (see ISSUE 3 acceptance criteria) ---- *)
   (* a guaranteed full k-WL run so kwl.rounds is non-zero even if the
      equivalence checks above all diverged at the initial colouring *)
@@ -1851,13 +1794,11 @@ let timing_smoke () =
     [ "kwl.rounds"; "td_count.dp_entries"; "wl_dimension.cache_hits";
       "td_count.packed_keys"; "td_count.candidates_pruned";
       "fast_count.packed_keys";
-      (* every dispatch decision path must have fired above: auto picks
-         of brute / packed-lean / enum, forced picks of packed and
-         reference, the candidate-pruning choice and a sequential DP *)
-      "dispatch.chose_brute"; "dispatch.chose_packed";
-      "dispatch.chose_reference"; "dispatch.chose_enum";
-      "dispatch.chose_lean"; "dispatch.chose_prune"; "dispatch.chose_seq";
-      "dispatch.forced" ];
+      (* every dispatch decision path must have fired above: picks of
+         brute / packed-lean / enum under the default table, the steered
+         packed run, the candidate-pruning choice and a sequential DP *)
+      "dispatch.chose_brute"; "dispatch.chose_packed"; "dispatch.chose_enum";
+      "dispatch.chose_lean"; "dispatch.chose_prune"; "dispatch.chose_seq" ];
   (* cache hit rates must be positive: a rate that drops to 0 (or a
      renamed counter, reported as None) means a memo regression *)
   List.iter
@@ -1894,9 +1835,10 @@ let timing_smoke () =
        Printf.printf "Obs counter %-28s non-zero %s\n" name (verdict ok))
     [ "robust.budget.created"; "robust.fallback.tw_heuristic" ];
   (* dispatch mispredict tripwire: on each calibration instance the
-     auto path must never pick an engine >= 2x slower than the best
-     forced engine; a firing tripwire means the calibration constants
-     have drifted from the hardware (re-derive with `calibrate`) *)
+     default table must never pick an engine >= 2x slower than the best
+     engine steered through a calibration table; a firing tripwire
+     means the calibration constants have drifted from the hardware
+     (re-derive with `calibrate`) *)
   let m_mispredict = Obs.counter "dispatch.mispredict" in
   let mis_reps = 30 in
   let mis_repeat f () =
@@ -1905,16 +1847,12 @@ let timing_smoke () =
     done
   in
   let check_mispredict label f =
-    let timed e =
-      Dispatch.set_engine e;
-      let _, t = wall_time_best (mis_repeat f) in
-      Dispatch.set_engine Dispatch.Auto;
-      t
-    in
-    let t_auto = timed Dispatch.Auto in
-    let best = Float.min (timed Dispatch.Brute) (timed Dispatch.Packed) in
+    let timed () = snd (wall_time_best (mis_repeat f)) in
+    let t_auto = timed () in
+    let steered c = Steer.with_calibration c timed in
+    let best = Float.min (steered Steer.brute) (steered Steer.packed) in
     if t_auto > 2.0 *. best then Obs.incr m_mispredict;
-    Printf.printf "dispatch %-22s auto %8.2f ms best-forced %8.2f ms\n" label
+    Printf.printf "dispatch %-22s auto %8.2f ms best-steered %8.2f ms\n" label
       (t_auto *. 1e3) (best *. 1e3)
   in
   let hq = G.Builders.path 4 in

@@ -62,7 +62,6 @@ let guarded f =
 
 module Obs = Wlcq_obs.Obs
 module Snapshot = Wlcq_obs.Snapshot
-module Dispatch = Wlcq_dispatch.Dispatch
 
 (* What [obs_setup] hands back to the few subcommands that keep
    running after setup ([wlcq serve] re-renders the snapshot and
@@ -76,28 +75,7 @@ type obs_paths = {
    (success/failure encodings, including the malformed-input exit 2 and
    the degraded exit 3) still flush metrics, snapshots, traces and the
    flight-recorder journal. *)
-let obs_setup engine metrics trace metrics_out folded journal cache_size_mb
-    cache_load cache_save =
-  (match Dispatch.engine_of_string engine with
-  | Ok e -> Dispatch.set_engine e
-  | Error msg -> fail_malformed msg);
-  (match cache_size_mb with
-  | None -> ()
-  | Some mb ->
-    if mb < 0 then fail_malformed "--cache-size-mb must be >= 0";
-    Wlcq_cache.Cache.set_capacity_mb mb);
-  (match cache_load with
-  | None -> ()
-  | Some file -> (
-    match Wlcq_cache.Cache.load_file file with
-    | Ok _ -> ()
-    | Error msg -> fail_malformed msg));
-  (match cache_save with
-  | None -> ()
-  | Some file ->
-    (* saved from [at_exit] for the same reason the metrics are: the
-       subcommands encode success/degradation in their exit codes *)
-    at_exit (fun () -> ignore (Wlcq_cache.Cache.save_file file)));
+let obs_setup metrics trace metrics_out folded journal =
   if
     metrics || Option.is_some metrics_out || Option.is_some trace
     || Option.is_some folded
@@ -140,17 +118,6 @@ let obs_setup engine metrics trace metrics_out folded journal cache_size_mb
   { o_metrics_out = metrics_out; o_journal = journal }
 
 let obs_term =
-  let engine =
-    let names = String.concat "|" Dispatch.engine_names in
-    Arg.(value & opt string "auto"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:
-               (Printf.sprintf
-                  "Counting/WL engine selection: one of %s. $(b,auto) (the \
-                   default) picks per call from the calibrated cost model; \
-                   the others force that engine everywhere, bypassing the \
-                   model." names))
-  in
   let metrics =
     Arg.(value & flag
          & info [ "metrics" ]
@@ -186,6 +153,32 @@ let obs_term =
                    to $(docv) on exit; budget trips and injected faults \
                    rewrite the dump eagerly at the moment they fire.")
   in
+  Term.(const obs_setup $ metrics $ trace $ metrics_out $ folded $ journal)
+
+(* ------------------------------------------------------------------ *)
+(* Cache flags, shared by every subcommand that computes               *)
+(* ------------------------------------------------------------------ *)
+
+let cache_setup cache_size_mb cache_load cache_save =
+  (match cache_size_mb with
+  | None -> ()
+  | Some mb ->
+    if mb < 0 then fail_malformed "--cache-size-mb must be >= 0";
+    Wlcq_cache.Cache.set_capacity_mb mb);
+  (match cache_load with
+  | None -> ()
+  | Some file -> (
+    match Wlcq_cache.Cache.load_file file with
+    | Ok _ -> ()
+    | Error msg -> fail_malformed msg));
+  match cache_save with
+  | None -> ()
+  | Some file ->
+    (* saved from [at_exit] for the same reason the metrics are: the
+       subcommands encode success/degradation in their exit codes *)
+    at_exit (fun () -> ignore (Wlcq_cache.Cache.save_file file))
+
+let cache_term =
   let cache_size_mb =
     Arg.(value & opt (some int) None
          & info [ "cache-size-mb" ] ~docv:"MB"
@@ -206,9 +199,7 @@ let obs_term =
              ~doc:"Write the result cache to $(docv) on exit (any exit \
                    code), for $(b,--cache-load) warm starts.")
   in
-  Term.(
-    const obs_setup $ engine $ metrics $ trace $ metrics_out $ folded
-    $ journal $ cache_size_mb $ cache_load $ cache_save)
+  Term.(const cache_setup $ cache_size_mb $ cache_load $ cache_save)
 
 (* ------------------------------------------------------------------ *)
 (* Budget flags, shared by every subcommand                            *)
@@ -243,7 +234,7 @@ let budget_term =
 (* ------------------------------------------------------------------ *)
 
 let widths_cmd =
-  let run _ budget query_str =
+  let run _ () budget query_str =
     guarded @@ fun () ->
     let p = parse_query query_str in
     let q = p.Core.Parser.query in
@@ -300,14 +291,14 @@ let widths_cmd =
   in
   let doc = "Compute the width measures and WL-dimension of a query." in
   Cmd.v (Cmd.info "widths" ~doc)
-    Term.(const run $ obs_term $ budget_term $ query_arg)
+    Term.(const run $ obs_term $ cache_term $ budget_term $ query_arg)
 
 (* ------------------------------------------------------------------ *)
 (* wlcq ans                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let ans_cmd =
-  let run _ budget query_str graph_str interpolate injective =
+  let run _ () budget query_str graph_str interpolate injective =
     guarded @@ fun () ->
     let p = parse_query query_str in
     let q = p.Core.Parser.query in
@@ -341,7 +332,7 @@ let ans_cmd =
   in
   let doc = "Count the answers of a query in a graph." in
   Cmd.v (Cmd.info "ans" ~doc)
-    Term.(const run $ obs_term $ budget_term $ query_arg
+    Term.(const run $ obs_term $ cache_term $ budget_term $ query_arg
           $ graph_opt "graph" ("Data graph. " ^ G.Spec.describe)
           $ interpolate $ injective)
 
@@ -350,7 +341,7 @@ let ans_cmd =
 (* ------------------------------------------------------------------ *)
 
 let tw_cmd =
-  let run _ budget graph_str =
+  let run _ () budget graph_str =
     guarded @@ fun () ->
     let graph = parse_graph graph_str in
     match Wlcq_treewidth.Exact.treewidth_budgeted ~budget graph with
@@ -362,7 +353,7 @@ let tw_cmd =
   in
   let doc = "Compute the exact treewidth of a graph." in
   Cmd.v (Cmd.info "tw" ~doc)
-    Term.(const run $ obs_term $ budget_term
+    Term.(const run $ obs_term $ cache_term $ budget_term
           $ graph_opt "graph" ("Graph. " ^ G.Spec.describe))
 
 (* ------------------------------------------------------------------ *)
@@ -370,7 +361,7 @@ let tw_cmd =
 (* ------------------------------------------------------------------ *)
 
 let wl_cmd =
-  let run _ budget k g1 g2 =
+  let run _ () budget k g1 g2 =
     guarded @@ fun () ->
     let g1 = parse_graph g1 and g2 = parse_graph g2 in
     match Wlcq_wl.Equivalence.equivalent_budgeted ~budget k g1 g2 with
@@ -389,7 +380,7 @@ let wl_cmd =
   let k = Arg.(value & opt int 1 & info [ "k" ] ~doc:"WL dimension (>= 1).") in
   let doc = "Test k-WL-equivalence of two graphs (Definition 19)." in
   Cmd.v (Cmd.info "wl" ~doc)
-    Term.(const run $ obs_term $ budget_term $ k
+    Term.(const run $ obs_term $ cache_term $ budget_term $ k
           $ graph_opt "g1" ("First graph. " ^ G.Spec.describe)
           $ graph_opt "g2" "Second graph.")
 
@@ -398,7 +389,7 @@ let wl_cmd =
 (* ------------------------------------------------------------------ *)
 
 let cfi_cmd =
-  let run _ budget base_str check_k =
+  let run _ () budget base_str check_k =
     guarded @@ fun () ->
     let base = parse_graph base_str in
     let degraded = ref false in
@@ -446,7 +437,7 @@ let cfi_cmd =
   in
   let doc = "Build the twisted CFI pair over a base graph (Definition 25)." in
   Cmd.v (Cmd.info "cfi" ~doc)
-    Term.(const run $ obs_term $ budget_term
+    Term.(const run $ obs_term $ cache_term $ budget_term
           $ graph_opt "base" ("Base graph. " ^ G.Spec.describe)
           $ check_k)
 
@@ -455,7 +446,7 @@ let cfi_cmd =
 (* ------------------------------------------------------------------ *)
 
 let witness_cmd =
-  let run _ budget query_str check_wl emit =
+  let run _ () budget query_str check_wl emit =
     guarded @@ fun () ->
     let p = parse_query query_str in
     let q = p.Core.Parser.query in
@@ -500,14 +491,14 @@ let witness_cmd =
     "Build and check the Section-4 lower-bound witness for a query."
   in
   Cmd.v (Cmd.info "witness" ~doc)
-    Term.(const run $ obs_term $ budget_term $ query_arg $ check_wl $ emit)
+    Term.(const run $ obs_term $ cache_term $ budget_term $ query_arg $ check_wl $ emit)
 
 (* ------------------------------------------------------------------ *)
 (* wlcq domsets                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let domsets_cmd =
-  let run _ budget k graph_str via =
+  let run _ () budget k graph_str via =
     guarded @@ fun () ->
     let graph = parse_graph graph_str in
     let count =
@@ -530,7 +521,7 @@ let domsets_cmd =
   in
   let doc = "Count size-k dominating sets (Corollary 6)." in
   Cmd.v (Cmd.info "domsets" ~doc)
-    Term.(const run $ obs_term $ budget_term $ k
+    Term.(const run $ obs_term $ cache_term $ budget_term $ k
           $ graph_opt "graph" ("Graph. " ^ G.Spec.describe)
           $ via)
 
@@ -539,7 +530,7 @@ let domsets_cmd =
 (* ------------------------------------------------------------------ *)
 
 let union_cmd =
-  let run _ _budget union_str graph_str =
+  let run _ () _budget union_str graph_str =
     guarded @@ fun () ->
     match Core.Ucq.of_string union_str with
     | Error e -> fail_malformed e
@@ -570,7 +561,7 @@ let union_cmd =
      exists y . E(x1, y) & E(y, x2)\"."
   in
   Cmd.v (Cmd.info "union" ~doc)
-    Term.(const run $ obs_term $ budget_term $ query_arg $ graph)
+    Term.(const run $ obs_term $ cache_term $ budget_term $ query_arg $ graph)
 
 (* ------------------------------------------------------------------ *)
 (* wlcq kg-widths / kg-ans                                             *)
@@ -580,7 +571,7 @@ let parse_kg_query s =
   match Wlcq_kg.Kparser.parse s with Ok p -> p | Error e -> fail_malformed e
 
 let kg_widths_cmd =
-  let run _ _budget query_str =
+  let run _ () _budget query_str =
     guarded @@ fun () ->
     let p = parse_kg_query query_str in
     let q = p.Wlcq_kg.Kparser.query in
@@ -598,10 +589,10 @@ let kg_widths_cmd =
      knows(x, z) & worksAt(z, y) & Person(x)\"."
   in
   Cmd.v (Cmd.info "kg-widths" ~doc)
-    Term.(const run $ obs_term $ budget_term $ query_arg)
+    Term.(const run $ obs_term $ cache_term $ budget_term $ query_arg)
 
 let kg_ans_cmd =
-  let run _ budget query_str graph_str =
+  let run _ () budget query_str graph_str =
     guarded @@ fun () ->
     let p = parse_kg_query query_str in
     match Wlcq_kg.Kspec.parse graph_str with
@@ -621,14 +612,14 @@ let kg_ans_cmd =
      the same ids."
   in
   Cmd.v (Cmd.info "kg-ans" ~doc)
-    Term.(const run $ obs_term $ budget_term $ query_arg $ graph)
+    Term.(const run $ obs_term $ cache_term $ budget_term $ query_arg $ graph)
 
 (* ------------------------------------------------------------------ *)
 (* wlcq certify                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let certify_cmd =
-  let run _ _budget query_str sample_str =
+  let run _ () _budget query_str sample_str =
     guarded @@ fun () ->
     let p = parse_query query_str in
     let sample = Option.map parse_graph sample_str in
@@ -654,14 +645,14 @@ let certify_cmd =
      bound by interpolation, lower bound by the Section-4 CFI witness."
   in
   Cmd.v (Cmd.info "certify" ~doc)
-    Term.(const run $ obs_term $ budget_term $ query_arg $ sample)
+    Term.(const run $ obs_term $ cache_term $ budget_term $ query_arg $ sample)
 
 (* ------------------------------------------------------------------ *)
 (* wlcq invariants                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let invariants_cmd =
-  let run _ _budget () =
+  let run _ () _budget () =
     guarded @@ fun () ->
     Printf.printf "%-16s %-22s %s\n" "parameter" "dimension lower bound"
       "witness pair";
@@ -681,14 +672,14 @@ let invariants_cmd =
      the built-in witness-pair library."
   in
   Cmd.v (Cmd.info "invariants" ~doc)
-    Term.(const run $ obs_term $ budget_term $ const ())
+    Term.(const run $ obs_term $ cache_term $ budget_term $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* wlcq profile                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let profile_cmd =
-  let run _ budget g1 g2 max_size tw_bound =
+  let run _ () budget g1 g2 max_size tw_bound =
     guarded @@ fun () ->
     let g1 = parse_graph g1 and g2 = parse_graph g2 in
     match
@@ -719,7 +710,7 @@ let profile_cmd =
      distinguish two graphs (Definition 19 made concrete)."
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ obs_term $ budget_term
+    Term.(const run $ obs_term $ cache_term $ budget_term
           $ graph_opt "g1" ("First graph. " ^ G.Spec.describe)
           $ graph_opt "g2" "Second graph."
           $ max_size $ tw_bound)
@@ -740,7 +731,7 @@ let socket_arg =
                  connects to (call).")
 
 let serve_cmd =
-  let run obs socket workers max_sessions max_queue max_queue_per_client
+  let run obs () socket workers max_sessions max_queue max_queue_per_client
       max_deadline_ms default_deadline_ms max_live_mb idle_timeout_s
       write_timeout_s drain_timeout_s flush_interval_s fault_seed fault_rate
       fault_sites =
@@ -867,7 +858,7 @@ let serve_cmd =
      work, flush sinks, exit 0); SIGHUP forces a sink flush."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ obs_term $ socket_arg $ workers $ max_sessions
+    Term.(const run $ obs_term $ cache_term $ socket_arg $ workers $ max_sessions
           $ max_queue $ max_queue_per_client $ max_deadline_ms
           $ default_deadline_ms $ max_live_mb $ idle_timeout_s
           $ write_timeout_s $ drain_timeout_s $ flush_interval_s

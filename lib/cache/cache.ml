@@ -197,20 +197,6 @@ module Graph_tbl = Hashtbl.Make (struct
 let addr_memo : (string * Perm.t) Graph_tbl.t = Graph_tbl.create 256
 let addr_memo_cap = 4096
 
-let clear_store st =
-  with_lock (fun () ->
-      let prefix = st.s_name ^ "\x00" in
-      let plen = String.length prefix in
-      let doomed = ref [] in
-      let nd = ref sentinel.nd_next in
-      while !nd != sentinel do
-        let k = !nd.nd_key in
-        if String.length k >= plen && String.equal (String.sub k 0 plen) prefix
-        then doomed := !nd :: !doomed;
-        nd := !nd.nd_next
-      done;
-      List.iter drop !doomed)
-
 let clear () =
   with_lock (fun () ->
       while sentinel.nd_prev != sentinel do

@@ -42,10 +42,6 @@ val find : 'a store -> string -> 'a option
     entry larger than the whole capacity is not inserted. *)
 val add : 'a store -> string -> 'a -> unit
 
-(** [clear_store st] drops every entry of one namespace (compatibility
-    shim support: [Exact.clear_decomposition_memo]). *)
-val clear_store : 'a store -> unit
-
 (** [clear ()] drops everything. *)
 val clear : unit -> unit
 

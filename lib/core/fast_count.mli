@@ -20,7 +20,8 @@
     The total cost is [|V(G)|^{O(ew)}] — polynomial for fixed
     extension width, in contrast to the [|V(G)|^{|X|}] enumeration of
     {!Cq.count_answers}.  Both are cross-validated in the test suite
-    and compared in bench series F3. *)
+    (against each other and against the original list-keyed DP, kept
+    there as the oracle) and compared in bench series F3. *)
 
 open Wlcq_graph
 module Budget = Wlcq_robust.Budget
@@ -45,11 +46,3 @@ val count_answers : ?budget:Budget.t -> Cq.t -> Graph.t -> Wlcq_util.Bigint.t
 val count_answers_budgeted :
   budget:Budget.t -> Cq.t -> Graph.t ->
   (Wlcq_util.Bigint.t, Budget.reason) Outcome.t
-
-(** The original engine (full tuple enumeration, first-covering-bag
-    constraint assignment), kept verbatim as a differential-testing
-    oracle.  [budget] is polled per enumerated tuple;
-    {!Budget.Exhausted} escapes when it trips (the budgeted entry
-    catches it). *)
-val count_answers_reference :
-  ?budget:Budget.t -> Cq.t -> Graph.t -> Wlcq_util.Bigint.t

@@ -3,35 +3,6 @@
    allowed to live (lint rule R6 bans magic-number size thresholds in
    the engine hot paths outside this module). *)
 
-type engine = Auto | Brute | Reference | Packed
-
-(* Written by the driver (CLI flag / test setup) before a run, read by
-   every engine entry point; Atomic so forced runs inside spawned
-   benchmark closures stay well-defined. *)
-let mode : engine Atomic.t = Atomic.make Auto
-
-let set_engine e = Atomic.set mode e
-let engine () = Atomic.get mode
-
-let engine_to_string = function
-  | Auto -> "auto"
-  | Brute -> "brute"
-  | Reference -> "reference"
-  | Packed -> "packed"
-
-let engine_names = [ "auto"; "brute"; "reference"; "packed" ]
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Ok Auto
-  | "brute" -> Ok Brute
-  | "reference" | "ref" -> Ok Reference
-  | "packed" -> Ok Packed
-  | other ->
-    Error
-      (Printf.sprintf "unknown engine %S (expected %s)" other
-         (String.concat "|" engine_names))
-
 (* ------------------------------------------------------------------ *)
 (* Calibration table                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -50,8 +21,7 @@ let default_calibration =
   {
     (* crossover points measured by [bench/main.exe calibrate] on the
        reference container (see DESIGN.md); dp/wl parallel minima and
-       the dense width carry over the engines' historical values so
-       forced-mode decisions stay byte-identical to PR 4/5 *)
+       the dense width carry over the engines' historical values *)
     brute_hom_max = 256;
     prune_min_work = 512;
     enum_answers_max = 1 lsl 15;
@@ -115,9 +85,7 @@ let brute_cost ~nh ~ng ~mg =
 (* Decision counters                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let c_forced = Wlcq_obs.Obs.counter "dispatch.forced"
 let c_hom_brute = Wlcq_obs.Obs.counter "dispatch.chose_brute"
-let c_hom_reference = Wlcq_obs.Obs.counter "dispatch.chose_reference"
 let c_hom_packed = Wlcq_obs.Obs.counter "dispatch.chose_packed"
 let c_ans_enum = Wlcq_obs.Obs.counter "dispatch.chose_enum"
 let c_prune = Wlcq_obs.Obs.counter "dispatch.chose_prune"
@@ -131,7 +99,7 @@ let c_sparse = Wlcq_obs.Obs.counter "dispatch.chose_sparse"
 (* Decisions                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type hom_choice = Hom_brute | Hom_reference | Hom_packed
+type hom_choice = Hom_brute | Hom_packed
 
 (* Flight-recorder trail of dispatch decisions.  Guarded here (not just
    inside [Obs.journal]) so the attrs list is never allocated on the
@@ -142,69 +110,42 @@ let note choice attrs =
       ("dispatch." ^ choice)
 
 let choose_hom ~nh ~ng ~mg =
-  match Atomic.get mode with
-  | Brute ->
-    Wlcq_obs.Obs.incr c_forced;
+  let cost = brute_cost ~nh ~ng ~mg in
+  if cost <= !table.brute_hom_max then begin
     Wlcq_obs.Obs.incr c_hom_brute;
+    note "hom_brute" [ ("cost", string_of_int cost) ];
     Hom_brute
-  | Reference ->
-    Wlcq_obs.Obs.incr c_forced;
-    Wlcq_obs.Obs.incr c_hom_reference;
-    Hom_reference
-  | Packed ->
-    Wlcq_obs.Obs.incr c_forced;
+  end
+  else begin
     Wlcq_obs.Obs.incr c_hom_packed;
+    note "hom_packed" [ ("cost", string_of_int cost) ];
     Hom_packed
-  | Auto ->
-    let cost = brute_cost ~nh ~ng ~mg in
-    if cost <= !table.brute_hom_max then begin
-      Wlcq_obs.Obs.incr c_hom_brute;
-      note "hom_brute" [ ("cost", string_of_int cost) ];
-      Hom_brute
-    end
-    else begin
-      Wlcq_obs.Obs.incr c_hom_packed;
-      note "hom_packed" [ ("cost", string_of_int cost) ];
-      Hom_packed
-    end
+  end
 
 let prune_candidates ~work =
-  match Atomic.get mode with
-  | Auto when work < !table.prune_min_work ->
+  if work < !table.prune_min_work then begin
     Wlcq_obs.Obs.incr c_lean;
     false
-  | Auto | Brute | Reference | Packed ->
+  end
+  else begin
     Wlcq_obs.Obs.incr c_prune;
     true
+  end
 
-type ans_choice = Ans_enum | Ans_reference | Ans_packed
+type ans_choice = Ans_enum | Ans_packed
 
 let choose_answers ~nx ~max_comp ~ng =
-  match Atomic.get mode with
-  | Brute ->
-    Wlcq_obs.Obs.incr c_forced;
+  let lim = !table.enum_answers_max in
+  if sat_pow ng nx <= lim && sat_pow ng max_comp <= lim then begin
     Wlcq_obs.Obs.incr c_ans_enum;
+    note "ans_enum" [ ("nx", string_of_int nx); ("ng", string_of_int ng) ];
     Ans_enum
-  | Reference ->
-    Wlcq_obs.Obs.incr c_forced;
-    Wlcq_obs.Obs.incr c_hom_reference;
-    Ans_reference
-  | Packed ->
-    Wlcq_obs.Obs.incr c_forced;
+  end
+  else begin
     Wlcq_obs.Obs.incr c_hom_packed;
+    note "ans_packed" [ ("nx", string_of_int nx); ("ng", string_of_int ng) ];
     Ans_packed
-  | Auto ->
-    let lim = !table.enum_answers_max in
-    if sat_pow ng nx <= lim && sat_pow ng max_comp <= lim then begin
-      Wlcq_obs.Obs.incr c_ans_enum;
-      note "ans_enum" [ ("nx", string_of_int nx); ("ng", string_of_int ng) ];
-      Ans_enum
-    end
-    else begin
-      Wlcq_obs.Obs.incr c_hom_packed;
-      note "ans_packed" [ ("nx", string_of_int nx); ("ng", string_of_int ng) ];
-      Ans_packed
-    end
+  end
 
 (* The parallelism decisions keep the engines' historical test-hook
    contract: threshold 0 forces parallel, max_int forces sequential,

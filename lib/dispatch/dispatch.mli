@@ -20,30 +20,14 @@
     Constants are re-derivable: [bench/main.exe calibrate] times the
     candidate engines across an instance ladder and prints the observed
     crossover points in the table's own format (see DESIGN.md,
-    "Adaptive engine dispatch"). *)
+    "Adaptive engine dispatch").
 
-(** {2 Engine forcing}
-
-    The CLI surfaces this as [--engine auto|brute|reference|packed];
-    tests force engines to drive differential comparisons.  [Auto]
-    consults the cost model; the forced modes bypass it (and a forced
-    [Packed] always runs the {e full} packed machinery, arc consistency
-    included, so observability tripwires on the packed counters keep
-    firing on tiny instances). *)
-
-type engine = Auto | Brute | Reference | Packed
-
-val set_engine : engine -> unit
-val engine : unit -> engine
-
-(** [engine_of_string s] parses ["auto" | "brute" | "reference" |
-    "packed"]. *)
-val engine_of_string : string -> (engine, string) result
-
-val engine_to_string : engine -> string
-
-(** The accepted [engine_of_string] spellings, for CLI docs. *)
-val engine_names : string list
+    The table is also the only way to steer engine choice.
+    Differential tests and benchmarks that want a particular engine
+    install a table whose cutoffs route every instance there —
+    [brute_hom_max], [prune_min_work] and [enum_answers_max] at [0]
+    give the full packed pipeline — and restore the defaults with
+    {!reset_calibration}. *)
 
 (** {2 The calibration table}
 
@@ -113,27 +97,26 @@ val brute_cost : nh:int -> ng:int -> mg:int -> int
     Each returns what the caller should run and bumps the matching
     [dispatch.chose_*] counter. *)
 
-type hom_choice = Hom_brute | Hom_reference | Hom_packed
+type hom_choice = Hom_brute | Hom_packed
 
-(** [choose_hom ~nh ~ng ~mg]: engine for one [Hom(h, g)] count.
-    [Auto] picks [Hom_brute] when {!brute_cost} is within
-    [brute_hom_max], else [Hom_packed]; [Hom_reference] is only ever
-    forced (it is the differential oracle, not a performance
-    choice). *)
+(** [choose_hom ~nh ~ng ~mg]: engine for one [Hom(h, g)] count:
+    [Hom_brute] when {!brute_cost} is within [brute_hom_max], else
+    [Hom_packed]. *)
 val choose_hom : nh:int -> ng:int -> mg:int -> hom_choice
 
 (** [prune_candidates ~work]: run the arc-consistency fixpoint before
-    the packed DP?  [work] is the Σ_bags ng^arity estimate.  Always
-    true under a forced [Packed] engine. *)
+    the packed DP?  [work] is the Σ_bags ng^arity estimate; true when it
+    reaches [prune_min_work]. *)
 val prune_candidates : work:int -> bool
 
-type ans_choice = Ans_enum | Ans_reference | Ans_packed
+type ans_choice = Ans_enum | Ans_packed
 
 (** [choose_answers ~nx ~max_comp ~ng]: engine for one [|Ans(q, g)|]
     count.  [nx] is the free-variable count, [max_comp] the largest
-    [|C_i| + |δ_i|] over quantified components.  [Auto] picks
-    [Ans_enum] when both [ng^nx] and [ng^max_comp] are within
-    [enum_answers_max]. *)
+    [|C_i| + |δ_i|] over quantified components.  [Ans_enum] when both
+    [ng^nx] and [ng^max_comp] are within [enum_answers_max] (the
+    enumeration kernel tabulates each component in a table of that
+    size, so steer it with a value the instances can afford). *)
 val choose_answers : nx:int -> max_comp:int -> ng:int -> ans_choice
 
 (** [dp_domains ~requested ~subtrees ~work ~threshold]: worker-domain

@@ -1,7 +1,7 @@
 (** Flat sparse DP tables keyed by packed bag assignments.
 
-    Shared machinery for the counting DPs ({!Td_count}, {!Nice_count}
-    and [Wlcq_core.Fast_count]).  A bag assignment — an [int array] of
+    Shared machinery for the counting DPs ({!Td_count} and
+    [Wlcq_core.Fast_count]).  A bag assignment — an [int array] of
     target vertices, one per (sorted) bag vertex — packs little-endian
     into a single immediate int whenever [arity * ceil(log2 n) <= 62]
     (the base-n encoding of the k-WL engine); restriction onto a subset

@@ -3,7 +3,6 @@ open Wlcq_treewidth
 module Bitset = Wlcq_util.Bitset
 module Bigint = Wlcq_util.Bigint
 module Count = Wlcq_util.Count
-module Tbl = Wlcq_util.Ordering.Int_list_tbl
 module Obs = Wlcq_obs.Obs
 module Budget = Wlcq_robust.Budget
 module Outcome = Wlcq_robust.Outcome
@@ -26,149 +25,6 @@ let m_decomp_shared = Obs.counter "td_count.decomp_shared"
 let m_seq_resume = Obs.counter "robust.fallback.td_seq_resume"
 let m_heuristic_decomp = Obs.counter "robust.fallback.td_heuristic_decomp"
 let m_exhausted = Obs.counter "robust.fallback.td_exhausted"
-
-(* The table at a decomposition node t maps each partial homomorphism
-   φ : B_t → V(G) (a hom of H[B_t]) to the number of homomorphisms of
-   H[V_t] → G extending φ, where V_t is the union of the bags in the
-   subtree rooted at t.  Children are combined by grouping their tables
-   by the restriction to the shared bag intersection: any vertex common
-   to two children's subtrees lies in B_t by (T2), so the product over
-   children counts every subtree vertex exactly once. *)
-
-(* ------------------------------------------------------------------ *)
-(* Reference engine: int-list keys, full Bigint arithmetic.            *)
-(* Kept verbatim as the differential-testing oracle for the packed     *)
-(* engine below (mirroring Kwl.run_reference) — do not optimise.       *)
-(* ------------------------------------------------------------------ *)
-
-let count_with_decomposition_reference ?(budget = Budget.unlimited) ?candidates
-    d h g =
-  if not (Decomposition.is_valid_for d h) then
-    invalid_arg "Td_count.count_with_decomposition_reference: decomposition does not match the pattern";
-  let nodes = Graph.num_vertices d.Decomposition.tree in
-  if Graph.num_vertices h = 0 then Bigint.one
-  else if Graph.num_vertices g = 0 then Bigint.zero
-  else Obs.span "td_count.run_reference" @@ fun () ->
-    let on = Obs.enabled () in
-    if on then Obs.incr m_runs;
-    (* Root the decomposition tree at node 0 and compute a post-order. *)
-    let parent = Array.make nodes (-1) in
-    let order = ref [] in
-    let seen = Array.make nodes false in
-    let queue = Queue.create () in
-    seen.(0) <- true;
-    Queue.add 0 queue;
-    while not (Queue.is_empty queue) do
-      let t = Queue.take queue in
-      order := t :: !order;
-      Graph.iter_neighbours d.Decomposition.tree t (fun s -> (* lint: hot-alloc tree rooting: one closure per decomposition node, before the DP *)
-          if not seen.(s) then begin
-            seen.(s) <- true;
-            parent.(s) <- t;
-            Queue.add s queue
-          end)
-    done;
-    let postorder = !order (* reverse BFS order: children before parents *) in
-    let bag_vertices t = Bitset.to_list d.Decomposition.bags.(t) in
-    (* [positions_in bag_arr sub] maps each H-vertex of [sub] to its
-       index in [bag_arr] — restrictions become O(|sub|) array reads
-       instead of O(|bag|²) assoc scans. *)
-    let inv = Array.make (Graph.num_vertices h) (-1) in
-    let positions_in bag_arr sub =
-      Array.iteri (fun i v -> inv.(v) <- i) bag_arr;
-      let pos = Array.of_list (List.map (fun v -> inv.(v)) sub) in
-      Array.iter (fun v -> inv.(v) <- -1) bag_arr;
-      pos
-    in
-    let restrict_images images pos =
-      Array.fold_right (fun p acc -> images.(p) :: acc) pos []
-    in
-    let tables : Bigint.t Tbl.t array =
-      Array.init nodes (fun _ -> Tbl.create 64)
-    in
-    (* keys of a node's table: images of the bag vertices in increasing
-       H-vertex order *)
-    let children = Array.make nodes [] in
-    Array.iteri
-      (fun s p -> if p >= 0 then children.(p) <- s :: children.(p))
-      parent;
-    List.iter
-      (fun t ->
-         let bag = bag_vertices t in
-         let bag_arr = Array.of_list bag in
-         (* Per child: group the child table by the restriction to the
-            intersection with this bag. *)
-         let grouped =
-           List.map
-             (fun s ->
-                let shared =
-                  Bitset.to_list
-                    (Bitset.inter d.Decomposition.bags.(t)
-                       d.Decomposition.bags.(s))
-                in
-                let sbag_arr = Array.of_list (bag_vertices s) in
-                let spos_child = positions_in sbag_arr shared in
-                let proj : Bigint.t Tbl.t =
-                  Tbl.create 64
-                in
-                Tbl.iter
-                  (fun key v ->
-                     let karr = Array.of_list key in
-                     let r = restrict_images karr spos_child in
-                     let prev =
-                       Option.value ~default:Bigint.zero
-                         (Tbl.find_opt proj r)
-                     in
-                     Tbl.replace proj r (Bigint.add prev v))
-                  tables.(s);
-                (positions_in bag_arr shared, proj))
-             children.(t)
-         in
-         (* Enumerate partial homomorphisms of H[bag] into g via the
-            pruned backtracking of Brute on the induced subgraph; the
-            hom array is parallel to [bag_arr] because [Ops.induced]
-            keeps the ascending vertex order. *)
-         let sub, back = Ops.induced h bag in
-         let sub_candidates =
-           Option.map (fun c i -> c back.(i)) candidates
-         in
-         Brute.iter ~budget ?candidates:sub_candidates sub g (fun m ->
-             (* the per-bag homomorphism enumeration is the unbounded
-                dimension of the oracle: poll it (both here and inside
-                the backtracking search, which can run long between
-                enumerated homomorphisms) so a tripped deadline can
-                stop the differential run *)
-             Budget.tick_check budget;
-             let value =
-               List.fold_left
-                 (fun acc (spos, proj) ->
-                    if Bigint.is_zero acc then acc
-                    else
-                      match
-                        Tbl.find_opt proj (restrict_images m spos)
-                      with
-                      | None -> Bigint.zero
-                      | Some v -> Bigint.mul acc v)
-                 Bigint.one grouped
-             in
-             if not (Bigint.is_zero value) then begin
-               let key = Array.to_list m in
-               let prev =
-                 Option.value ~default:Bigint.zero
-                   (Tbl.find_opt tables.(t) key)
-               in
-               Tbl.replace tables.(t) key (Bigint.add prev value)
-             end);
-         if on then begin
-           Obs.add m_entries (Tbl.length tables.(t));
-           Obs.observe d_bag (List.length bag)
-         end)
-      postorder;
-    Tbl.fold (fun _ v acc -> Bigint.add acc v) tables.(0) Bigint.zero
-
-let count_reference ?candidates h g =
-  count_with_decomposition_reference ?candidates
-    (Exact.optimal_decomposition h) h g
 
 (* ------------------------------------------------------------------ *)
 (* Candidate pruning.                                                  *)
@@ -283,8 +139,14 @@ let work_estimate bags ng =
     bags;
   !acc
 
-(* The DP proper, over precomputed candidate sets.  Each node's table
-   depends only on its subtree, so disjoint subtrees of the root are
+(* The DP proper, over precomputed candidate sets.  The table at node t
+   maps each partial homomorphism φ : B_t → V(G) (a hom of H[B_t]) to
+   the number of homomorphisms of H[V_t] → G extending φ, where V_t is
+   the union of the bags in the subtree rooted at t; children are
+   combined by grouping their tables by the restriction to the shared
+   bag intersection (any vertex common to two children's subtrees lies
+   in B_t by (T2), so the product counts every subtree vertex once).
+   Each node's table depends only on its subtree, so disjoint subtrees of the root are
    independent: workers process whole subtrees (strided over the root's
    children), touching only tables of their own subtree, and the driver
    processes the root after joining.  Determinism: a node's table is
@@ -553,14 +415,13 @@ let count_store =
    root aggregate can be keyed on the pair of canonical digests and
    reused verbatim — no per-vertex translation needed for a total.
    The cache only arms itself where (a) the instance is DP-scale by
-   the auto cost model — tiny brute instances would pay more in
-   canonicalisation than the count costs, (b) the caller did not
-   restrict [?candidates] (a restricted count is not hom(h, g)), and
-   (c) the engine is not forced — forced runs are differential probes
-   and must exercise the engine they name. *)
+   the cost model — tiny brute instances would pay more in
+   canonicalisation than the count costs — and (b) the caller did not
+   restrict [?candidates] (a restricted count is not hom(h, g)).
+   Differential tests that steer the engine through the calibration
+   table turn the tier off, or they would compare cache hits. *)
 let count_cacheable ?candidates h g =
   (match candidates with None -> true | Some _ -> false)
-  && (match Dispatch.engine () with Dispatch.Auto -> true | _ -> false)
   && Cache.enabled ()
   && Dispatch.brute_cost ~nh:(Graph.num_vertices h)
        ~ng:(Graph.num_vertices g) ~mg:(Graph.num_edges g)
@@ -596,8 +457,6 @@ let count_with_decomposition ?(budget = Budget.unlimited) ?candidates d h g =
   else
     match choose h g with
     | Dispatch.Hom_brute -> Bigint.of_int (Brute.count ~budget ?candidates h g)
-    | Dispatch.Hom_reference ->
-      count_with_decomposition_reference ~budget ?candidates d h g
     | Dispatch.Hom_packed -> run_packed_path ~budget ?candidates d h g
 
 let count ?(budget = Budget.unlimited) ?candidates h g =
@@ -614,7 +473,6 @@ let count ?(budget = Budget.unlimited) ?candidates h g =
          match choose h g with
          | Dispatch.Hom_brute ->
            Bigint.of_int (Brute.count ~budget ?candidates h g)
-         | Dispatch.Hom_reference -> count_reference ?candidates h g
          | Dispatch.Hom_packed ->
            run_packed_path ~budget ?candidates
              (Exact.optimal_decomposition h) h g)
@@ -650,7 +508,9 @@ let count_budgeted ~budget ?candidates h g =
     (* tiny instances skip the whole decomposition ladder; a partial
        brute enumeration is still a sound lower bound, but the ladder's
        contract only carries the trip reason, so the partial is dropped *)
-    match choose h g with Dispatch.Hom_brute -> true | _ -> false
+    match choose h g with
+    | Dispatch.Hom_brute -> true
+    | Dispatch.Hom_packed -> false
   then
     match Brute.count_budgeted ~budget ?candidates h g with
     | `Exact n -> `Exact (Bigint.of_int n)
@@ -785,7 +645,6 @@ let count_many ?(budget = Budget.unlimited) ?candidates hs g =
            else match choose h g with
            | Dispatch.Hom_brute ->
              Bigint.of_int (Brute.count ~budget ?candidates h g)
-           | Dispatch.Hom_reference -> count_reference ?candidates h g
            | Dispatch.Hom_packed ->
              count_via_cache
                ~cacheable:(count_cacheable ?candidates h g)

@@ -9,14 +9,13 @@
     [F_ℓ] have treewidth at most [ew(H,X)] (Lemma 16), so each count is
     produced by this module in polynomial time for fixed width.
 
-    Two engines are provided.  The default one runs on flat sparse
-    tables keyed by packed bag assignments ({!Dp_key}), with an
-    int63-with-overflow-promotion arithmetic fast path
-    ({!Wlcq_util.Count}), arc-consistency candidate pruning, and
+    The DP runs on flat sparse tables keyed by packed bag assignments
+    ({!Dp_key}), with an int63-with-overflow-promotion arithmetic fast
+    path ({!Wlcq_util.Count}), arc-consistency candidate pruning, and
     parallel processing of independent decomposition subtrees
-    ({!parallel_threshold}).  The original int-list/Bigint engine
-    survives as [count_reference]/[count_with_decomposition_reference]
-    — the differential-testing oracle, mirroring [Kwl.run_reference].
+    ({!parallel_threshold}); {!Wlcq_dispatch.Dispatch} sends tiny
+    instances to {!Brute} instead.  The original int-list/Bigint engine
+    lives on in the test suite as the differential oracle.
 
     All entry points accept [?candidates] restricting the image of each
     pattern vertex (colour-prescribed homomorphisms, Definition 48);
@@ -92,19 +91,3 @@ val count_many :
     [max_int] forces sequential).  Test/benchmark hook; set it before a
     run from the driver domain only. *)
 val parallel_threshold : int ref
-
-(** The original engine, kept verbatim as a differential-testing
-    oracle. *)
-val count_reference :
-  ?candidates:(int -> Wlcq_util.Bitset.t) ->
-  Graph.t -> Graph.t -> Wlcq_util.Bigint.t
-
-(** Oracle variant of {!count_with_decomposition}.  [budget] is polled
-    per enumerated bag homomorphism; [Budget.Exhausted] escapes when
-    it trips (the budgeted entry catches it).
-    @raise Invalid_argument when [d] is not valid for [h]. *)
-val count_with_decomposition_reference :
-  ?budget:Budget.t ->
-  ?candidates:(int -> Wlcq_util.Bitset.t) ->
-  Wlcq_treewidth.Decomposition.t -> Graph.t -> Graph.t ->
-  Wlcq_util.Bigint.t

@@ -3,7 +3,11 @@ module Obs = Wlcq_obs.Obs
 module Budget = Wlcq_robust.Budget
 module Outcome = Wlcq_robust.Outcome
 
-type result = { colours : int array; num_colours : int; rounds : int }
+type result = Wlcq_wl.Kwl.result = {
+  colours : int array;
+  num_colours : int;
+  rounds : int;
+}
 
 let m_refine_runs = Obs.counter "kg.refine.runs"
 let m_refine_rounds = Obs.counter "kg.refine.rounds"
@@ -85,125 +89,94 @@ let refine_pair g1 g2 =
 (* Folklore k-WL on k-tuples                                           *)
 (* ------------------------------------------------------------------ *)
 
-let decode_tuple k n idx =
-  let t = Array.make k 0 in
-  let r = ref idx in
-  for i = k - 1 downto 0 do
-    t.(i) <- !r mod n;
-    r := !r / n
-  done;
-  t
-
-(* atomic type: vertex labels plus, for each ordered pair (i, j) with
-   i <> j, the sorted list of labels of edges t_i -> t_j, plus the
-   equality pattern *)
-let atomic g k idx =
-  let n = Kgraph.num_vertices g in
-  let t = decode_tuple k n idx in
-  let labels = Array.to_list (Array.map (Kgraph.vertex_label g) t) in
-  let rels = ref [] in
-  for i = k - 1 downto 0 do
-    for j = k - 1 downto 0 do
-      if i <> j then begin
-        let ls =
-          List.filter_map (* lint: hot-alloc atomic-type constructor: the signature lists are the output, built once per tuple at initialisation *)
-            (fun (w, l) -> if w = t.(j) then Some l else None)
-            (Kgraph.out_edges g t.(i))
-        in
-        (* lint: hot-alloc atomic-type constructor, as above *)
-        rels := (i, j, t.(i) = t.(j), List.sort Int.compare ls) :: !rels
-      end
-    done
-  done;
-  (labels, !rels)
-
-let atomic_order =
-  let rel (i1, j1, eq1, ls1) (i2, j2, eq2, ls2) =
-    let c = Int.compare i1 i2 in
-    if c <> 0 then c
-    else
-      let c = Int.compare j1 j2 in
-      if c <> 0 then c
-      else
-        let c = Bool.compare eq1 eq2 in
-        if c <> 0 then c else Ordering.int_list ls1 ls2
+(* The knowledge-graph extension changes only the atomic types k-WL
+   starts from, so the rounds run on the flat plain-graph engine
+   ([Wlcq_wl.Kwl.run_many_typed_budgeted]) and this module supplies the
+   types.  The atomic type of a tuple t, flattened to an int list: the
+   vertex labels, then for each ordered pair (i, j) with i <> j the
+   equality bit, the number of edges t_i -> t_j and their sorted
+   labels.  Types are interned jointly across the graphs, so equal ids
+   mean equal types in every graph.  Ticked per tuple. *)
+let atomic_types ~budget k graphs =
+  let ids = Ordering.Int_list_tbl.create 256 in
+  let intern key =
+    match Ordering.Int_list_tbl.find_opt ids key with
+    | Some id -> id
+    | None ->
+      let id = Ordering.Int_list_tbl.length ids in
+      Ordering.Int_list_tbl.replace ids key id;
+      id
   in
-  Ordering.pair Ordering.int_list (List.compare rel)
-
-(* The rounds are functional (each builds a fresh colouring list), so
-   budget enforcement is between-round: a trip observed by [Budget.poll]
-   abandons the round about to start and keeps the previous round's
-   colourings — a sound stable-colour prefix.  Only a trip during the
-   initial atomic typing (ticked per tuple) aborts with no prefix. *)
-let run_many_core ~budget k graphs =
-  if k < 2 then invalid_arg "Kwl.run: requires k >= 2 (use refine for k = 1)";
-  let tuple_counts =
+  let typed =
     List.map
       (fun g ->
          let n = Kgraph.num_vertices g in
-         let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in
-         pow 1 k)
+         let t = Array.make k 0 in
+         let type_of idx =
+           Budget.tick_check budget;
+           let r = ref idx in
+           for i = k - 1 downto 0 do
+             t.(i) <- !r mod n;
+             r := !r / n
+           done;
+           let key = ref [] in
+           for i = k - 1 downto 0 do
+             for j = k - 1 downto 0 do
+               if i <> j then begin
+                 let ls =
+                   List.filter_map (* lint: hot-alloc atomic-type constructor: the type key is the output, built once per tuple *)
+                     (fun (w, l) -> if w = t.(j) then Some l else None)
+                     (Kgraph.out_edges g t.(i))
+                 in
+                 let eq = if t.(i) = t.(j) then 1 else 0 in
+                 (* lint: hot-alloc atomic-type constructor, as above *)
+                 key := eq :: List.length ls :: (List.sort Int.compare ls @ !key)
+               end
+             done
+           done;
+           for i = k - 1 downto 0 do
+             key := Kgraph.vertex_label g t.(i) :: !key
+           done;
+           intern !key
+         in
+         (n, Array.init (Wlcq_wl.Kwl.tuple_count k n) type_of))
       graphs
   in
-  let init =
-    List.map2
-      (fun g count ->
-         Array.init count (fun idx ->
-             Budget.tick_check budget;
-             atomic g k idx))
-      graphs tuple_counts
+  (typed, Ordering.Int_list_tbl.length ids)
+
+(* Budget protocol: a trip while typing (or during the flat engine's
+   initial colouring) leaves no prefix.  One poll between the typing
+   and the first round keeps the typing itself as the prefix when the
+   budget tripped meanwhile; inside the rounds the flat engine's
+   protocol applies — a trip keeps the last completed round's
+   colouring. *)
+let run_core ~budget k graphs =
+  if k < 2 then invalid_arg "Kwl.run: requires k >= 2 (use refine for k = 1)";
+  Obs.span "kg.kwl.run" ~attrs:[ ("k", string_of_int k) ] @@ fun () ->
+  let outcome =
+    match atomic_types ~budget k graphs with
+    | exception Budget.Exhausted r -> `Exhausted r
+    | typed, num -> (
+      match if Budget.poll budget then Budget.tripped budget else None with
+      | Some cause ->
+        Outcome.degraded ~cause
+          ~fallback:"stable colour prefix after 0 completed rounds"
+          (List.map
+             (fun (_, types) -> { colours = types; num_colours = num; rounds = 0 })
+             typed)
+      | None -> Wlcq_wl.Kwl.run_many_typed_budgeted ~budget k typed)
   in
-  let colourings, num = canonicalise atomic_order init in
-  let round colourings =
-    let signatures =
-      List.map2
-        (fun (g, count) colours ->
-           let n = Kgraph.num_vertices g in
-           let place = Array.make k 1 in
-           for i = k - 2 downto 0 do place.(i) <- place.(i + 1) * n done;
-           Array.init count (fun idx ->
-               let t = decode_tuple k n idx in
-               let entries = ref [] in
-               for w = 0 to n - 1 do
-                 let entry =
-                   (* lint: hot-alloc naive k-WL round: the per-tuple signature lists are the round's output *)
-                   Array.init k (fun i ->
-                       colours.(idx + ((w - t.(i)) * place.(i))))
-                 in
-                 (* lint: hot-alloc naive k-WL round, as above *)
-                 entries := Array.to_list entry :: !entries
-               done;
-               (colours.(idx), List.sort Ordering.int_list !entries)))
-        (List.combine graphs tuple_counts)
-        colourings
-    in
-    canonicalise
-      (Ordering.pair Int.compare (List.compare Ordering.int_list))
-      signatures
-  in
-  let rec go colourings num rounds =
-    if Budget.poll budget then (colourings, num, rounds, Budget.tripped budget)
-    else
-      let colourings', num' =
-        Obs.span "kg.kwl.round" (fun () -> round colourings)
-      in
-      if num' = num then (colourings, num, rounds, None)
-      else go colourings' num' (rounds + 1)
-  in
-  let colourings, num, rounds, aborted =
-    Obs.span "kg.kwl.run"
-      ~attrs:[ ("k", string_of_int k) ]
-      (fun () -> go colourings num 0)
-  in
-  if Obs.enabled () then begin
-    Obs.incr m_kwl_runs;
-    Obs.add m_kwl_rounds rounds
-  end;
-  ( List.map (fun colours -> { colours; num_colours = num; rounds }) colourings,
-    aborted )
+  (match outcome with
+   | (`Exact (r :: _) | `Degraded (r :: _, _)) when Obs.enabled () ->
+     Obs.incr m_kwl_runs;
+     Obs.add m_kwl_rounds r.rounds
+   | `Exact _ | `Degraded _ | `Exhausted _ -> ());
+  outcome
 
 let run_many k graphs =
-  fst (run_many_core ~budget:Budget.unlimited k graphs)
+  match run_core ~budget:Budget.unlimited k graphs with
+  | `Exact results -> results
+  | `Degraded _ | `Exhausted _ -> assert false (* an unlimited budget never trips *)
 
 let run k g = match run_many k [ g ] with [ r ] -> r | _ -> assert false
 
@@ -216,25 +189,21 @@ let run_pair k g1 g2 =
    reporting a caller bug, deliberately outside the Outcome envelope *)
 let run_many_budgeted ~budget k graphs =
   Obs.entry_point "kg_kwl.run_many" @@ fun () ->
-  match run_many_core ~budget k graphs with
-  | exception Budget.Exhausted r ->
-    (* tripped during the initial atomic typing: no prefix exists *)
+  match run_core ~budget k graphs with
+  | `Exact results -> `Exact results
+  | `Degraded (_, why) as degraded ->
+    Obs.incr m_prefix;
+    Obs.journal ~severity:Obs.Warn
+      ~attrs:[ ("cause", Budget.reason_to_string why.Outcome.cause) ]
+      "kg_kwl.prefix_fallback";
+    degraded
+  | `Exhausted r ->
+    (* tripped before the first round: no prefix exists *)
     Obs.incr m_exhausted;
     Obs.journal ~severity:Obs.Warn
       ~attrs:[ ("reason", Budget.reason_to_string r) ]
       "kg_kwl.exhausted";
     `Exhausted r
-  | results, None -> `Exact results
-  | results, Some cause ->
-    Obs.incr m_prefix;
-    Obs.journal ~severity:Obs.Warn
-      ~attrs:[ ("cause", Budget.reason_to_string cause) ]
-      "kg_kwl.prefix_fallback";
-    Outcome.degraded ~cause
-      ~fallback:
-        (Printf.sprintf "stable colour prefix after %d completed rounds"
-           (match results with r :: _ -> r.rounds | [] -> 0))
-      results
 
 (* lint: allow R8 Invalid_argument is the k >= 2 arity validation
    reporting a caller bug, deliberately outside the Outcome envelope *)

@@ -5,14 +5,22 @@
     multiset of (edge label, direction, neighbour colour) triples per
     round; folklore k-WL starts from atomic types that record the
     vertex labels, equalities, and the labelled directed edges inside
-    each k-tuple.  On a plain graph encoded via {!Kgraph.of_graph}
-    both coincide with the plain-graph algorithms — the test suite
-    checks this compatibility. *)
+    each k-tuple.  The extension changes only those atomic types, not
+    the refinement, so the k-tuple rounds run on the flat plain-graph
+    engine ({!Wlcq_wl.Kwl.run_many_typed_budgeted}) — with its
+    dirty-set rounds and parallel signature computation — and this
+    module computes the types.  On a plain graph encoded via
+    {!Kgraph.of_graph} both algorithms coincide with the plain-graph
+    ones — the test suite checks this compatibility. *)
 
 module Budget = Wlcq_robust.Budget
 module Outcome = Wlcq_robust.Outcome
 
-type result = { colours : int array; num_colours : int; rounds : int }
+type result = Wlcq_wl.Kwl.result = {
+  colours : int array;
+  num_colours : int;
+  rounds : int;
+}
 
 (** [refine g] is colour refinement (1-WL) on the knowledge graph. *)
 val refine : Kgraph.t -> result
@@ -33,12 +41,14 @@ val equivalent : int -> Kgraph.t -> Kgraph.t -> bool
 
 (** {2 Budgeted entry points}
 
-    The rounds are functional, so budget enforcement is between-round
-    ([Budget.poll]): a trip keeps the previous round's colourings — a
-    sound stable-colour prefix ([`Degraded],
-    [robust.fallback.kg_prefix]).  Only a trip during the initial
-    atomic typing aborts with no prefix ([`Exhausted],
-    [robust.fallback.kg_exhausted]). *)
+    The atomic typing is ticked per tuple and followed by one
+    [Budget.poll]; the rounds follow the flat engine's protocol.  A
+    trip after the typing keeps the last completed round's colourings
+    (the typing itself when no round completed) — a sound stable-colour
+    prefix ([`Degraded], [robust.fallback.kg_prefix]).  Only a trip
+    during the typing or the engine's initial colouring aborts with no
+    prefix ([`Exhausted], [robust.fallback.kg_exhausted]).  Runs also
+    move the flat engine's [kwl.*] counters. *)
 
 val run_many_budgeted :
   budget:Budget.t -> int -> Kgraph.t list ->

@@ -177,8 +177,6 @@ let rooted ?(root = 0) d =
   seen.(root) <- true;
   let tail = ref 1 in
   let head = ref 0 in
-  (* lint: allow R7 re-rooting BFS: each decomposition node is visited
-     exactly once *)
   while !head < !tail do
     let t = bfs.(!head) in
     incr head;

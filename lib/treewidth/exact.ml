@@ -196,9 +196,6 @@ let decomposition_words (d : Decomposition.t) =
 let decomposition_store =
   Cache.store ~name:"tw.decomposition" ~words:decomposition_words ()
 
-(* Compatibility shim over the pre-tier memo API. *)
-let clear_decomposition_memo () = Cache.clear_store decomposition_store
-
 (* lint: allow R8 Invalid_argument is Graph.create size validation on
    an internally built tree — an invariant check, not a budget outcome *)
 let optimal_decomposition_budgeted ~budget g =

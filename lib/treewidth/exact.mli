@@ -40,14 +40,11 @@ val optimal_decomposition_budgeted :
 val optimal_order : Graph.t -> int list
 
 (** [optimal_decomposition g] is a minimum-width tree decomposition.
-    Memoised per pattern graph (keyed by [Graph.equal]-checked hash and
-    bounded in size), since the interpolation pipeline re-decomposes
-    the same small patterns many times. *)
+    Memoised in the content-addressed cache tier ({!Wlcq_cache.Cache},
+    keyed by canonical form; [Cache.clear ()] empties it), since the
+    interpolation pipeline re-decomposes the same small patterns many
+    times. *)
 val optimal_decomposition : Graph.t -> Decomposition.t
-
-(** [clear_decomposition_memo ()] empties the {!optimal_decomposition}
-    cache — used by benchmarks that need cold-cache comparisons. *)
-val clear_decomposition_memo : unit -> unit
 
 (** [is_at_most g k] decides [treewidth g <= k]. *)
 val is_at_most : Graph.t -> int -> bool

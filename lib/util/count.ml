@@ -1,7 +1,7 @@
 (* Overflow-checked counter arithmetic: native ints until a sum or
    product would overflow, then arbitrary precision.
 
-   The counting DPs (Td_count / Nice_count / Fast_count) multiply and
+   The counting DPs (Td_count / Fast_count) multiply and
    add sub-counts; almost every intermediate fits comfortably in 63
    bits, but the final counts (and adversarial instances) do not.
    Running the whole DP on Bigint costs a limb-array allocation per

@@ -174,8 +174,14 @@ let run_pair_reference k g1 g2 =
 (* Renumbering stays sequential and deterministic.                     *)
 (* ------------------------------------------------------------------ *)
 
+(* What the initial colouring reads for each tuple: the (equality,
+   adjacency) pattern of a plain graph, or an atomic type id the caller
+   computed (knowledge-graph k-WL encodes vertex labels and labelled
+   edge directions this way; see [run_many_typed_budgeted]). *)
+type atoms = Adjacency of Graph.t | Typed of int array
+
 type graph_state = {
-  g : Graph.t;
+  atoms : atoms;
   n : int;
   count : int;
   tuples : int array;  (* count * k decode table *)
@@ -246,10 +252,30 @@ let sort_blocks arr lo n k =
     (fun pos p -> Array.blit tmp (p * k) arr (lo + (pos * k)) k)
     perm
 
-let make_state ?(budget = Budget.unlimited) k g =
-  let n = Graph.num_vertices g in
+(* Every buffer of the engine is sized by the tuple space: [width]
+   words for each of [rows] tuples.  One the heap cannot serve is
+   reported like the [tuple_count] overflow guard, as [Invalid_argument]
+   (a request too large to run), never as an escaping [Out_of_memory]. *)
+let tuple_buffer ?(width = 1) rows x =
+  let fail () =
+    invalid_arg
+      (Printf.sprintf
+         "Kwl.tuple_buffer: cannot allocate %d x %d words for the tuple space"
+         rows width)
+  in
+  if rows > Sys.max_array_length / width then fail ()
+  else try Array.make (rows * width) x with Out_of_memory -> fail ()
+
+let make_state ?(budget = Budget.unlimited) k n atoms =
   let count = tuple_count k n in
-  let tuples = Array.make (max 1 (count * k)) 0 in
+  (match atoms with
+   | Typed types when Array.length types <> count ->
+     invalid_arg
+       (Printf.sprintf
+          "Kwl.make_state: %d atomic types for a tuple space of %d"
+          (Array.length types) count)
+   | Typed _ | Adjacency _ -> ());
+  let tuples = tuple_buffer ~width:k (max 1 count) 0 in
   for idx = 0 to count - 1 do
     (* materialising the n^k tuple table is already engine-scale work:
        poll so a tripped deadline stops the run before the first round *)
@@ -265,25 +291,27 @@ let make_state ?(budget = Budget.unlimited) k g =
     place.(i) <- place.(i + 1) * n
   done;
   {
-    g;
+    atoms;
     n;
     count;
     tuples;
     place;
-    colours = Array.make (max 1 count) (-1);
+    colours = tuple_buffer (max 1 count) (-1);
     dirty = Bytes.make (max 1 count) '\000';
   }
 
+let plain_state ?budget k g = make_state ?budget k (Graph.num_vertices g) (Adjacency g)
+
 (* Atomic type of tuple [idx]: the (equality, adjacency) pattern over
    ordered pairs i < j, packed into one int when k(k-1) <= 62 bits. *)
-let atomic_packed st k idx =
+let atomic_packed st g k idx =
   let tb = idx * k in
   let p = ref 0 in
   for i = 0 to k - 1 do
     for j = i + 1 to k - 1 do
       let u = st.tuples.(tb + i) and v = st.tuples.(tb + j) in
       let eq = if u = v then 1 else 0 in
-      let adj = if Graph.adjacent st.g u v then 1 else 0 in
+      let adj = if Graph.adjacent g u v then 1 else 0 in
       p := (!p lsl 2) lor ((2 * eq) + adj)
     done
   done;
@@ -354,9 +382,9 @@ let run_engine_inner ?domains ~budget ~on_round k states =
     go 64
   in
   let probe_mask = probe_cap - 1 in
-  let probe_base = Array.make probe_cap (-1) in
-  let probe_hash = Array.make probe_cap 0 in
-  let probe_colour = Array.make probe_cap 0 in
+  let probe_base = tuple_buffer probe_cap (-1) in
+  let probe_hash = tuple_buffer probe_cap 0 in
+  let probe_colour = tuple_buffer probe_cap 0 in
   (* find-or-insert for the width-[width] segment at [base] of [arena'];
      on a miss [fresh ()] names the new group's colour.  [collisions]
      keeps its historical meaning: probes that hashed alike but
@@ -386,29 +414,32 @@ let run_engine_inner ?domains ~budget ~on_round k states =
   in
   (* ---------------- initial colouring by atomic type ---------------- *)
   let atomic_fits = k * (k - 1) <= 62 in
-  (* arena of atomic signatures, one slot of width aw per tuple *)
+  (* arena of atomic signatures, one slot of width aw per tuple; a
+     caller-typed tuple fills the first word of its slot *)
   let aw = if atomic_fits then 1 else k * (k - 1) / 2 in
-  let init_arena = Array.make (max 1 (total * aw)) 0 in
+  let init_arena = tuple_buffer ~width:aw (max 1 total) 0 in
   let slot0 = ref 0 in
   Array.iter
     (fun st ->
        for idx = 0 to st.count - 1 do
          Budget.tick_check budget;
          let base = !slot0 * aw in
-         if atomic_fits then init_arena.(base) <- atomic_packed st k idx
-         else begin
-           let tb = idx * k in
-           let o = ref base in
-           for i = 0 to k - 1 do
-             for j = i + 1 to k - 1 do
-               let u = st.tuples.(tb + i) and v = st.tuples.(tb + j) in
-               let eq = if u = v then 1 else 0 in
-               let adj = if Graph.adjacent st.g u v then 1 else 0 in
-               init_arena.(!o) <- (2 * eq) + adj;
-               incr o
-             done
-           done
-         end;
+         (match st.atoms with
+          | Typed types -> init_arena.(base) <- types.(idx)
+          | Adjacency g when atomic_fits ->
+            init_arena.(base) <- atomic_packed st g k idx
+          | Adjacency g ->
+            let tb = idx * k in
+            let o = ref base in
+            for i = 0 to k - 1 do
+              for j = i + 1 to k - 1 do
+                let u = st.tuples.(tb + i) and v = st.tuples.(tb + j) in
+                let eq = if u = v then 1 else 0 in
+                let adj = if Graph.adjacent g u v then 1 else 0 in
+                init_arena.(!o) <- (2 * eq) + adj;
+                incr o
+              done
+            done);
          let h = hash_segment init_arena base aw in
          let colour = probe_find init_arena aw h base fresh_colour in
          st.colours.(idx) <- colour;
@@ -418,21 +449,21 @@ let run_engine_inner ?domains ~budget ~on_round k states =
   on_round !next_colour;
   (* ------------------------- refinement rounds ---------------------- *)
   (* per-round job list: graph index + tuple index, slot = position *)
-  let jobs_g = Array.make (max 1 total) 0 in
-  let jobs_t = Array.make (max 1 total) 0 in
-  let hashes = Array.make (max 1 total) 0 in
-  let arena = Array.make (max 1 (total * sigw)) 0 in
-  let changed_g = Array.make (max 1 total) 0 in
-  let changed_t = Array.make (max 1 total) 0 in
+  let jobs_g = tuple_buffer (max 1 total) 0 in
+  let jobs_t = tuple_buffer (max 1 total) 0 in
+  let hashes = tuple_buffer (max 1 total) 0 in
+  let arena = tuple_buffer ~width:sigw (max 1 total) 0 in
+  let changed_g = tuple_buffer (max 1 total) 0 in
+  let changed_t = tuple_buffer (max 1 total) 0 in
   (* class bookkeeping, sized by the id ceiling [total] *)
-  let class_size = Array.make (max 1 total) 0 in
+  let class_size = tuple_buffer (max 1 total) 0 in
   Array.iter
     (fun st ->
        for idx = 0 to st.count - 1 do
          class_size.(st.colours.(idx)) <- class_size.(st.colours.(idx)) + 1
        done)
     states;
-  let dirty_in_class = Array.make (max 1 total) 0 in
+  let dirty_in_class = tuple_buffer (max 1 total) 0 in
   let claimed = Bytes.make (max 1 total) '\000' in
   (* signature computation for jobs in [lo, hi) — the parallel part;
      writes only to disjoint arena / hashes slots.  A tripped budget
@@ -686,7 +717,7 @@ let run_many ?domains k graphs =
   if k < 2 then
     invalid_arg "Kwl.run_many: requires k >= 2 (use Refinement for k = 1)";
   Obs.entry_point "kwl.run_many" @@ fun () ->
-  let states = Array.of_list (List.map (make_state k) graphs) in
+  let states = Array.of_list (List.map (plain_state k) graphs) in
   let num, rounds, _ = run_engine ?domains ~on_round:(fun _ -> ()) k states in
   results_of_states states num rounds
 
@@ -698,14 +729,12 @@ let run_pair ?domains k g1 g2 =
   | [ r1; r2 ] -> (r1, r2)
   | _ -> assert false
 
-(* lint: allow R8 Invalid_argument is the k >= 2 arity validation
-   reporting a caller bug, deliberately outside the Outcome envelope *)
-let run_many_budgeted ?domains ~budget k graphs =
-  if k < 2 then
-    invalid_arg "Kwl.run_many_budgeted: requires k >= 2 (use Refinement for k = 1)";
+(* The budgeted ladder over states built by [build] (which may raise
+   [Budget.Exhausted] while materialising the tuple space). *)
+let run_ladder ?domains ~budget k build =
   Obs.entry_point "kwl.run_many" @@ fun () ->
   match
-    let states = Array.of_list (List.map (make_state ~budget k) graphs) in
+    let states = Array.of_list (build ()) in
     (states, run_engine ?domains ~budget ~on_round:(fun _ -> ()) k states)
   with
   | exception Budget.Exhausted r ->
@@ -728,6 +757,24 @@ let run_many_budgeted ?domains ~budget k graphs =
       ~fallback:
         (Printf.sprintf "stable colour prefix after %d completed rounds" rounds)
       (results_of_states states num rounds)
+
+(* lint: allow R8 Invalid_argument is the k >= 2 arity validation
+   reporting a caller bug, deliberately outside the Outcome envelope *)
+let run_many_budgeted ?domains ~budget k graphs =
+  if k < 2 then
+    invalid_arg "Kwl.run_many_budgeted: requires k >= 2 (use Refinement for k = 1)";
+  run_ladder ?domains ~budget k (fun () ->
+      List.map (plain_state ~budget k) graphs)
+
+(* lint: allow R8 Invalid_argument is the k >= 2 arity and type-table
+   validation reporting a caller bug, deliberately outside the Outcome
+   envelope *)
+let run_many_typed_budgeted ?domains ~budget k structures =
+  if k < 2 then
+    invalid_arg "Kwl.run_many_typed_budgeted: requires k >= 2";
+  run_ladder ?domains ~budget k (fun () ->
+      List.map (fun (n, types) -> make_state ~budget k n (Typed types))
+        structures)
 
 (* lint: allow R8 Invalid_argument is the k >= 2 arity validation
    reporting a caller bug, deliberately outside the Outcome envelope *)
@@ -769,7 +816,7 @@ let equivalent_core ?domains ~budget k g1 g2 =
       Array.for_all (fun d -> d = 0) cnt
     in
     match
-      let states = [| make_state ~budget k g1; make_state ~budget k g2 |] in
+      let states = [| plain_state ~budget k g1; plain_state ~budget k g2 |] in
       run_engine ?domains ~budget
         ~on_round:(fun num ->
           if not (histograms_equal states num) then raise Histograms_diverged)

@@ -29,8 +29,9 @@
 
     Complexity is Θ(n^{k+1}) per full round, with sub-full rounds once
     refinement localises.  The tuple space [n^k] (and the [k·n^k]
-    decode table) must fit [Sys.max_array_length]; the entry points
-    raise [Invalid_argument] instead of silently overflowing. *)
+    decode table) must fit [Sys.max_array_length] and the heap; the
+    entry points raise [Invalid_argument] instead of silently
+    overflowing or letting [Out_of_memory] escape. *)
 
 open Wlcq_graph
 module Budget = Wlcq_robust.Budget
@@ -43,6 +44,12 @@ type result = {
   num_colours : int;  (** colours in the shared namespace *)
   rounds : int;  (** rounds until stabilisation *)
 }
+
+(** [tuple_count k n] is [n^k], the size of the tuple space of an
+    [n]-vertex structure.
+    @raise Invalid_argument when [n^k] (or the [k·n^k] decode table)
+    exceeds [Sys.max_array_length]. *)
+val tuple_count : int -> int -> int
 
 (** [run k g] refines the k-tuples of [g].  [domains] caps the number
     of domains used for signature computation (default:
@@ -106,6 +113,20 @@ val equivalent : ?domains:int -> int -> Graph.t -> Graph.t -> bool
     @raise Invalid_argument as {!run_many}. *)
 val run_many_budgeted :
   ?domains:int -> budget:Budget.t -> int -> Graph.t list ->
+  (result list, Budget.reason) Outcome.t
+
+(** [run_many_typed_budgeted ~budget k structures] is
+    {!run_many_budgeted} over caller-typed structures: each is [(n,
+    types)], where [types.(idx)] is the atomic type of the tuple with
+    base-[n] index [idx] — any int, equal ints meaning equal types
+    across all structures.  Only the initial colouring differs from the
+    plain-graph engine; the rounds, budget protocol and counters are
+    the same.  Knowledge-graph k-WL ([Wlcq_kg.Kwl]) runs here, encoding
+    vertex labels and labelled edge directions in the types.
+    @raise Invalid_argument when [k < 2], when a [types] array is not
+    [n^k] long, or as {!run_many}. *)
+val run_many_typed_budgeted :
+  ?domains:int -> budget:Budget.t -> int -> (int * int array) list ->
   (result list, Budget.reason) Outcome.t
 
 (** Single-graph variant of {!run_many_budgeted}. *)

@@ -1,4 +1,5 @@
 open Wlcq_graph
+open Wlcq_treewidth
 module Bitset = Wlcq_util.Bitset
 
 type node =
@@ -55,8 +56,6 @@ let of_decomposition d ~universe =
   end
   else begin
     let rooted = Decomposition.rooted d in
-    (* lint: allow R7 structural recursion over the rooted
-       decomposition tree: each node is built exactly once *)
     let rec build t =
       let target = obags.(t) in
       match Array.to_list rooted.Decomposition.children.(t) with

@@ -5,11 +5,12 @@
     {e introduce} node adding one vertex to its child's bag, a
     {e forget} node removing one vertex, or a {e join} of two children
     with identical bags.  Dynamic programs become one-rule-per-node
-    (see {!Wlcq_hom.Nice_count} for homomorphism counting); converting
+    (see {!Nice_count} for homomorphism counting); converting
     through this normal form also cross-validates the plain
-    bag-DP used elsewhere. *)
+    bag-DP used elsewhere.  Test-only, like {!Nice_count}. *)
 
 open Wlcq_graph
+open Wlcq_treewidth
 module Bitset = Wlcq_util.Bitset
 
 type node =

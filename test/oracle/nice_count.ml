@@ -1,5 +1,6 @@
 open Wlcq_graph
 open Wlcq_treewidth
+open Wlcq_hom
 module Bitset = Wlcq_util.Bitset
 module Bigint = Wlcq_util.Bigint
 module Count = Wlcq_util.Count
@@ -75,19 +76,15 @@ let count_with_nice_reference nd h g =
             (fun ckey cnt ->
                for w = 0 to ng - 1 do
                  (* splice w into position vpos *)
-                 (* lint: hot-alloc reference oracle: int-list keys are its
-                    definition, kept verbatim for differential testing *)
                  let rec splice j = function
                    | rest when j = vpos -> w :: rest
                    | [] -> [ w ]
                    | x :: rest -> x :: splice (j + 1) rest
                  in
                  let key = splice 0 ckey in
-                 (* lint: hot-alloc reference oracle, as above *)
                  let karr = Array.of_list key in
                  let ok =
                    List.for_all
-                     (* lint: hot-alloc reference oracle, as above *)
                      (fun p -> Graph.adjacent g karr.(p) w)
                      positions
                  in
@@ -190,7 +187,6 @@ let count_with_nice ?(budget = Budget.unlimited) nd h g =
                  key.(vpos) <- w;
                  if
                    List.for_all
-                     (* lint: hot-alloc intra-bag edge probe: |positions| is bag-bounded and the closure captures loop-invariant state only on tiny bags — packed engine keeps list probes here *)
                      (fun p -> Graph.adjacent g key.(p) w)
                      constrained
                  then Dp_key.bump c table key cnt
@@ -235,14 +231,11 @@ let count ?budget h g =
   else
     match choose h g with
     | Dispatch.Hom_brute -> Bigint.of_int (Brute.count ?budget h g)
-    | Dispatch.Hom_reference -> count_reference h g
     | Dispatch.Hom_packed ->
       let d = Exact.optimal_decomposition h in
       let nd = Nice.of_decomposition d ~universe:(Graph.num_vertices h) in
       count_with_nice ?budget nd h g
 
-(* lint: allow R8 Invalid_argument is precondition validation reporting
-   a caller bug, deliberately outside the Outcome envelope *)
 let count_budgeted ~budget h g =
   Obs.entry_point "nice_count.count" @@ fun () ->
   let note_exhausted r =
@@ -255,7 +248,9 @@ let count_budgeted ~budget h g =
   if
     Graph.num_vertices h > 0
     && Graph.num_vertices g > 0
-    && (match choose h g with Dispatch.Hom_brute -> true | _ -> false)
+    && (match choose h g with
+        | Dispatch.Hom_brute -> true
+        | Dispatch.Hom_packed -> false)
   then
     match Brute.count_budgeted ~budget h g with
     | `Exact n -> `Exact (Bigint.of_int n)

@@ -3,16 +3,17 @@
 
     An independent implementation of [|Hom(H, G)|] with one DP rule
     per node kind (leaf / introduce / forget / join), used to
-    cross-validate {!Td_count} (which runs on arbitrary
+    cross-validate [Wlcq_hom.Td_count] (which runs on arbitrary
     decompositions).  Same asymptotics: [O(|V(G)|^{w+1})] for
-    decomposition width [w]. *)
+    decomposition width [w].  Test-only: no shipped code counts
+    through it. *)
 
 open Wlcq_graph
 module Budget = Wlcq_robust.Budget
 module Outcome = Wlcq_robust.Outcome
 
 (** [count h g] is [|Hom(h, g)|].  Runs on packed-key tables
-    ({!Dp_key}) with the {!Wlcq_util.Count} int63 fast path.
+    ([Wlcq_hom.Dp_key]) with the {!Wlcq_util.Count} int63 fast path.
     @raise Budget.Exhausted when [budget] trips. *)
 val count : ?budget:Budget.t -> Graph.t -> Graph.t -> Wlcq_util.Bigint.t
 
@@ -29,7 +30,7 @@ val count_budgeted :
     @raise Budget.Exhausted when [budget] trips. *)
 val count_with_nice :
   ?budget:Budget.t ->
-  Wlcq_treewidth.Nice.t -> Graph.t -> Graph.t -> Wlcq_util.Bigint.t
+  Nice.t -> Graph.t -> Graph.t -> Wlcq_util.Bigint.t
 
 (** The original int-list/Bigint engine, kept verbatim as a
     differential-testing oracle. *)
@@ -38,4 +39,4 @@ val count_reference : Graph.t -> Graph.t -> Wlcq_util.Bigint.t
 (** Oracle variant of {!count_with_nice}.
     @raise Invalid_argument when [nd] is not valid for [h]. *)
 val count_with_nice_reference :
-  Wlcq_treewidth.Nice.t -> Graph.t -> Graph.t -> Wlcq_util.Bigint.t
+  Nice.t -> Graph.t -> Graph.t -> Wlcq_util.Bigint.t

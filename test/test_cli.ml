@@ -52,7 +52,15 @@ let test_malformed_inputs () =
   check_malformed "bad union query" "union \"garbage\"";
   check_malformed "negative deadline" "tw --graph clique:4 --deadline-ms=-3";
   check_malformed "zero memory ceiling" "tw --graph clique:4 --max-live-mb=0";
-  check_malformed "bad kgraph" "kg-ans \"(x) := E0(x, y)\" --graph zzz"
+  check_malformed "bad kgraph" "kg-ans \"(x) := E0(x, y)\" --graph zzz";
+  (* a tuple space the heap cannot serve (40^9 9-tuples) is a request
+     too large to run: Kwl reports it on the error line instead of
+     letting Out_of_memory escape as an uncaught exception (exit 125) *)
+  let code, stderr_text = run_capture "wl -k 9 --g1 clique:40 --g2 clique:40" in
+  Alcotest.(check int) "unallocatable k-WL: exit code" 2 code;
+  Alcotest.(check bool) "unallocatable k-WL: error names Kwl" true
+    (String.length stderr_text >= 11
+     && String.equal (String.sub stderr_text 0 11) "error: Kwl.")
 
 let test_budget_exhaustion () =
   (* a 1 ms deadline cannot finish branch and bound on a dense
@@ -290,7 +298,14 @@ let test_serve_call_exit_codes () =
         (call_code socket "ping"));
   (* no daemon at all: connect failure is malformed input, exit 2 *)
   Alcotest.(check int) "missing socket exits 2" 2
-    (call_code "/nonexistent-wlcq.sock" "ping")
+    (call_code "/nonexistent-wlcq.sock" "ping");
+  (* a client computes nothing, so the engine and cache flags are not
+     its options: cmdliner rejects them (exit 124) *)
+  List.iter
+    (fun flag ->
+       Alcotest.(check int) (flag ^ " is not a call option") 124
+         (call_code "/nonexistent-wlcq.sock" ("ping " ^ flag)))
+    [ "--engine auto"; "--cache-size-mb 1"; "--cache-load x"; "--cache-save x" ]
 
 (* satellite: a periodic flush plus an atomic snapshot rename means a
    kill -9 still leaves a complete, parseable OpenMetrics file *)

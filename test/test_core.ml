@@ -3,6 +3,8 @@ open Wlcq_graph
 module Bigint = Wlcq_util.Bigint
 module Rat = Wlcq_util.Rat
 module Prng = Wlcq_util.Prng
+module Td_ref = Wlcq_oracle.Td_ref
+module Fast_ref = Wlcq_oracle.Fast_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -1097,7 +1099,7 @@ let test_td_packed_on_cfi_pairs () =
                    true
                    (Bigint.equal
                       (Wlcq_hom.Td_count.count h g)
-                      (Wlcq_hom.Td_count.count_reference h g)))
+                      (Td_ref.count h g)))
               [ ("even", even.Wlcq_cfi.Cfi.graph); ("odd", odd.Wlcq_cfi.Cfi.graph) ])
          patterns)
     [ Builders.cycle 4; Builders.path 4 ]
@@ -1115,7 +1117,7 @@ let test_count_many_on_extension_family () =
   List.iter2
     (fun h b ->
        check_bool "count_many = reference on F_ell" true
-         (Bigint.equal b (Wlcq_hom.Td_count.count_reference h g)))
+         (Bigint.equal b (Td_ref.count h g)))
     patterns batch
 
 let packed_core_qcheck =
@@ -1133,7 +1135,7 @@ let packed_core_qcheck =
          in
          let g = Gen.gnp rng ng 0.5 in
          Bigint.equal (Fast_count.count_answers q g)
-           (Fast_count.count_answers_reference q g));
+           (Fast_ref.count_answers q g));
     QCheck.Test.make
       ~name:"count_many equals reference on random f_ell families" ~count:25
       QCheck.(triple (int_range 2 4) (int_range 2 5) (int_bound 100000))
@@ -1150,7 +1152,7 @@ let packed_core_qcheck =
          let batch = Wlcq_hom.Td_count.count_many patterns g in
          let indiv =
            List.map
-             (fun h -> Wlcq_hom.Td_count.count_reference h g)
+             (fun h -> Td_ref.count h g)
              patterns
          in
          List.for_all2 Bigint.equal batch indiv);

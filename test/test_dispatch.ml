@@ -1,33 +1,29 @@
 (* Differential tests for the adaptive dispatch layer (Wlcq_dispatch):
-   every selectable engine — forced brute, forced reference, forced
-   packed, forced-sequential, forced-parallel and the calibrated auto
-   mode — must return identical counts on random instances and CFI
-   pairs, and the cost-model decision functions are pinned on
-   tiny/huge inputs so calibration edits cannot silently change
-   routing. *)
+   every engine a count can take — brute and packed, steered through
+   the calibration table, forced-sequential and forced-parallel DPs,
+   and the calibrated default — must return identical counts on random
+   instances and CFI pairs, and agree with the reference oracles; the
+   cost-model decision functions are pinned on tiny/huge inputs so
+   calibration edits cannot silently change routing. *)
 
 open Wlcq_graph
 module Dispatch = Wlcq_dispatch.Dispatch
 module Prng = Wlcq_util.Prng
 module Bigint = Wlcq_util.Bigint
 module Td_count = Wlcq_hom.Td_count
-module Nice_count = Wlcq_hom.Nice_count
 module Fast_count = Wlcq_core.Fast_count
 module Cq = Wlcq_core.Cq
 module Gen_query = Wlcq_core.Gen_query
 module Kwl = Wlcq_wl.Kwl
 module Pairs = Wlcq_cfi.Pairs
+module Nice_count = Wlcq_oracle.Nice_count
+module Td_ref = Wlcq_oracle.Td_ref
+module Fast_ref = Wlcq_oracle.Fast_ref
+module Steer = Wlcq_oracle.Steer
+module Fanout = Wlcq_oracle.Fanout
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let all_engines =
-  [ Dispatch.Auto; Dispatch.Brute; Dispatch.Reference; Dispatch.Packed ]
-
-(* Run [f] under engine [e], always restoring Auto. *)
-let with_engine e f =
-  Dispatch.set_engine e;
-  Fun.protect ~finally:(fun () -> Dispatch.set_engine Dispatch.Auto) f
 
 (* Run [f] under a forced parallelism threshold, restoring the
    default. *)
@@ -43,9 +39,13 @@ let agree_on to_string results =
     List.for_all (fun (_, v) -> String.equal (to_string v) (to_string first))
       rest
 
-let engine_results count =
-  List.map (fun e -> (Dispatch.engine_to_string e, with_engine e count))
-    all_engines
+(* [count] under the default table and steered to each engine, plus
+   the reference oracle called directly. *)
+let engine_results ~reference count =
+  [ ("auto", count ());
+    ("brute", Steer.with_calibration Steer.brute count);
+    ("packed", Steer.with_calibration Steer.packed count);
+    ("reference", reference ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: homomorphism counting engines                         *)
@@ -60,7 +60,9 @@ let qcheck_td_engines_agree =
        let h = Gen.gnp rng 4 0.6 in
        let g = Gen.gnp rng n 0.4 in
        agree_on Bigint.to_string
-         (engine_results (fun () -> Td_count.count h g)))
+         (engine_results
+            ~reference:(fun () -> Td_ref.count h g)
+            (fun () -> Td_count.count h g)))
 
 let qcheck_nice_engines_agree =
   QCheck.Test.make ~name:"Nice_count: all engines agree on random gnp"
@@ -71,7 +73,9 @@ let qcheck_nice_engines_agree =
        let h = Gen.gnp rng 4 0.6 in
        let g = Gen.gnp rng n 0.4 in
        agree_on Bigint.to_string
-         (engine_results (fun () -> Nice_count.count h g)))
+         (engine_results
+            ~reference:(fun () -> Nice_count.count_reference h g)
+            (fun () -> Nice_count.count h g)))
 
 let qcheck_td_seq_par_agree =
   QCheck.Test.make
@@ -79,17 +83,18 @@ let qcheck_td_seq_par_agree =
     QCheck.(pair (int_range 4 10) (int_bound 100000))
     (fun (n, seed) ->
        let rng = Prng.create seed in
-       let h = Builders.path 4 in
+       (* K1,3 decomposed around its centre at node 0, where the DP
+          roots: three independent subtrees to fan out over *)
+       let h, d = Fanout.star 3 in
        let g = Gen.gnp rng n 0.4 in
-       let seq =
-         with_threshold Td_count.parallel_threshold max_int (fun () ->
-             Td_count.count h g)
+       let run threshold =
+         with_threshold Td_count.parallel_threshold threshold (fun () ->
+             Steer.with_calibration Steer.packed (fun () ->
+                 Td_count.count_with_decomposition d h g))
        in
-       let par =
-         with_threshold Td_count.parallel_threshold 0 (fun () ->
-             Td_count.count h g)
-       in
-       Bigint.equal seq par)
+       let seq = run max_int in
+       let par, fanned = Fanout.fanned_out (fun () -> run 0) in
+       fanned && Bigint.equal seq par)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: answer counting                                       *)
@@ -105,9 +110,13 @@ let qcheck_answers_engines_agree =
        let q = Gen_query.random_connected rng ~num_vars:5 ~num_free:2
            ~edge_prob:0.4 in
        let g = Gen.gnp rng n 0.5 in
-       let reference = Bigint.of_int (Cq.count_answers q g) in
-       let results = engine_results (fun () -> Fast_count.count_answers q g) in
-       agree_on Bigint.to_string (("cq", reference) :: results))
+       let enumerated = Bigint.of_int (Cq.count_answers q g) in
+       let results =
+         engine_results
+           ~reference:(fun () -> Fast_ref.count_answers q g)
+           (fun () -> Fast_count.count_answers q g)
+       in
+       agree_on Bigint.to_string (("cq", enumerated) :: results))
 
 (* ------------------------------------------------------------------ *)
 (* Differential: k-WL on random graphs and CFI pairs                   *)
@@ -160,12 +169,14 @@ let test_cfi_hom_counts_engines () =
   let a, b = Pairs.twisted_pair (Builders.cycle 5) in
   let g1 = a.Wlcq_cfi.Cfi.graph and g2 = b.Wlcq_cfi.Cfi.graph in
   let h = Builders.cycle 5 in
-  check_bool "engines agree on cfi g1" true
-    (agree_on Bigint.to_string
-       (engine_results (fun () -> Td_count.count h g1)));
-  check_bool "engines agree on cfi g2" true
-    (agree_on Bigint.to_string
-       (engine_results (fun () -> Td_count.count h g2)))
+  List.iter
+    (fun (tag, g) ->
+       check_bool ("engines agree on cfi " ^ tag) true
+         (agree_on Bigint.to_string
+            (engine_results
+               ~reference:(fun () -> Td_ref.count h g)
+               (fun () -> Td_count.count h g))))
+    [ ("g1", g1); ("g2", g2) ]
 
 (* ------------------------------------------------------------------ *)
 (* The cost model, pinned                                              *)
@@ -176,12 +187,12 @@ let test_choose_hom_pinned () =
   check_bool "tiny instance routes to brute" true
     (match Dispatch.choose_hom ~nh:2 ~ng:3 ~mg:2 with
      | Dispatch.Hom_brute -> true
-     | _ -> false);
+     | Dispatch.Hom_packed -> false);
   (* huge: brute cost saturates far beyond the cutoff *)
   check_bool "huge instance routes to packed" true
     (match Dispatch.choose_hom ~nh:6 ~ng:100 ~mg:500 with
      | Dispatch.Hom_packed -> true
-     | _ -> false);
+     | Dispatch.Hom_brute -> false);
   (* a large pattern over a sparse target must never go to brute: the
      average degree floors to 1 but real backtracking branches on the
      target's max degree (the Lemma 22 F_ℓ family over a near-matching
@@ -189,38 +200,35 @@ let test_choose_hom_pinned () =
   check_bool "large pattern over sparse target routes to packed" true
     (match Dispatch.choose_hom ~nh:193 ~ng:4 ~mg:2 with
      | Dispatch.Hom_packed -> true
-     | _ -> false);
-  (* forcing bypasses the model in both directions *)
-  with_engine Dispatch.Brute (fun () ->
-      check_bool "forced brute on huge" true
+     | Dispatch.Hom_brute -> false);
+  (* the steering tables route past the model in both directions *)
+  Steer.with_calibration Steer.brute (fun () ->
+      check_bool "steered brute on huge" true
         (match Dispatch.choose_hom ~nh:6 ~ng:100 ~mg:500 with
          | Dispatch.Hom_brute -> true
-         | _ -> false));
-  with_engine Dispatch.Reference (fun () ->
-      check_bool "forced reference" true
-        (match Dispatch.choose_hom ~nh:2 ~ng:3 ~mg:2 with
-         | Dispatch.Hom_reference -> true
-         | _ -> false));
-  with_engine Dispatch.Packed (fun () ->
-      check_bool "forced packed on tiny" true
+         | Dispatch.Hom_packed -> false));
+  Steer.with_calibration Steer.packed (fun () ->
+      check_bool "steered packed on tiny" true
         (match Dispatch.choose_hom ~nh:2 ~ng:3 ~mg:2 with
          | Dispatch.Hom_packed -> true
-         | _ -> false))
+         | Dispatch.Hom_brute -> false);
+      check_bool "steered packed prunes tiny work" true
+        (Dispatch.prune_candidates ~work:1))
 
 let test_choose_answers_pinned () =
   check_bool "small keyspace routes to enum" true
     (match Dispatch.choose_answers ~nx:2 ~max_comp:3 ~ng:9 with
      | Dispatch.Ans_enum -> true
-     | _ -> false);
+     | Dispatch.Ans_packed -> false);
   check_bool "huge keyspace routes to packed" true
     (match Dispatch.choose_answers ~nx:8 ~max_comp:10 ~ng:50 with
      | Dispatch.Ans_packed -> true
-     | _ -> false);
-  with_engine Dispatch.Reference (fun () ->
-      check_bool "forced reference answers" true
+     | Dispatch.Ans_enum -> false);
+  Steer.with_calibration Steer.packed (fun () ->
+      check_bool "steered packed answers" true
         (match Dispatch.choose_answers ~nx:2 ~max_comp:3 ~ng:9 with
-         | Dispatch.Ans_reference -> true
-         | _ -> false))
+         | Dispatch.Ans_packed -> true
+         | Dispatch.Ans_enum -> false))
 
 let test_parallel_decisions_pinned () =
   (* the threshold ref contract: max_int forces sequential, 0 forces
@@ -261,28 +269,11 @@ let test_calibration_roundtrip () =
       check_bool "zeroed cutoff reroutes tiny instance" true
         (match Dispatch.choose_hom ~nh:2 ~ng:3 ~mg:2 with
          | Dispatch.Hom_packed -> true
-         | _ -> false));
+         | Dispatch.Hom_brute -> false));
   check_bool "reset restores routing" true
     (match Dispatch.choose_hom ~nh:2 ~ng:3 ~mg:2 with
      | Dispatch.Hom_brute -> true
-     | _ -> false)
-
-let test_engine_of_string () =
-  List.iter
-    (fun (s, e) ->
-       match Dispatch.engine_of_string s with
-       | Ok e' ->
-         check_bool ("parse " ^ s) true
-           (String.equal (Dispatch.engine_to_string e)
-              (Dispatch.engine_to_string e'))
-       | Error _ -> Alcotest.failf "engine_of_string %S errored" s)
-    [ ("auto", Dispatch.Auto); ("brute", Dispatch.Brute);
-      ("ref", Dispatch.Reference); ("reference", Dispatch.Reference);
-      ("packed", Dispatch.Packed) ];
-  check_bool "unknown engine rejected" true
-    (match Dispatch.engine_of_string "bogus" with
-     | Error _ -> true
-     | Ok _ -> false)
+     | Dispatch.Hom_packed -> false)
 
 let test_brute_cost_saturates () =
   check_bool "saturated cost stays within cap" true
@@ -319,8 +310,6 @@ let () =
             test_dense_fits_pinned;
           Alcotest.test_case "calibration roundtrip" `Quick
             test_calibration_roundtrip;
-          Alcotest.test_case "engine_of_string" `Quick
-            test_engine_of_string;
           Alcotest.test_case "brute_cost saturates" `Quick
             test_brute_cost_saturates;
         ] );

@@ -1,5 +1,9 @@
 open Wlcq_graph
 open Wlcq_hom
+module Nice_count = Wlcq_oracle.Nice_count
+module Td_ref = Wlcq_oracle.Td_ref
+module Fanout = Wlcq_oracle.Fanout
+module Steer = Wlcq_oracle.Steer
 module Prng = Wlcq_util.Prng
 module Bigint = Wlcq_util.Bigint
 
@@ -251,7 +255,7 @@ let packed_vs_reference_qcheck =
          let rng = Prng.create seed in
          let h = Gen.gnp rng nh 0.5 in
          let g = Gen.gnp rng ng 0.4 in
-         Bigint.equal (Td_count.count h g) (Td_count.count_reference h g));
+         Bigint.equal (Td_count.count h g) (Td_ref.count h g));
     QCheck.Test.make
       ~name:"packed td count equals reference under random candidates"
       ~count:60
@@ -263,7 +267,7 @@ let packed_vs_reference_qcheck =
          let candidates = random_candidates rng nh ng in
          Bigint.equal
            (Td_count.count ~candidates h g)
-           (Td_count.count_reference ~candidates h g));
+           (Td_ref.count ~candidates h g));
     QCheck.Test.make
       ~name:"pins as singleton candidates match Brute ~pins" ~count:60
       QCheck.(triple (int_range 2 6) (int_range 2 8) (int_bound 100000))
@@ -284,18 +288,24 @@ let packed_vs_reference_qcheck =
       QCheck.(triple (int_range 2 5) (int_range 2 9) (int_bound 100000))
       (fun (nh, ng, seed) ->
          let rng = Prng.create seed in
-         (* disjoint-union patterns give the decomposition root several
-            independent subtrees, so the fan-out path really runs *)
-         let h1 = Gen.gnp rng nh 0.6 in
-         let h2 = Gen.gnp rng nh 0.5 in
-         let h = Ops.disjoint_union h1 h2 in
+         (* a disjoint-union pattern whose decomposition root (node 0,
+            where the DP roots) has two independent subtrees, steered
+            to the packed DP, so the fan-out path really runs *)
+         let h, d =
+           Fanout.union (Gen.gnp rng nh 0.6) (Gen.gnp rng nh 0.5)
+         in
          let g = Gen.gnp rng ng 0.4 in
-         Td_count.parallel_threshold := 0;
-         let par = Td_count.count h g in
-         Td_count.parallel_threshold := max_int;
-         let seq = Td_count.count h g in
-         Td_count.parallel_threshold := 1 lsl 15;
-         String.equal (Bigint.to_string par) (Bigint.to_string seq));
+         let run threshold =
+           Td_count.parallel_threshold := threshold;
+           Fun.protect
+             ~finally:(fun () -> Td_count.parallel_threshold := 1 lsl 15)
+             (fun () ->
+                Steer.with_calibration Steer.packed (fun () ->
+                    Td_count.count_with_decomposition d h g))
+         in
+         let par, fanned = Fanout.fanned_out (fun () -> run 0) in
+         let seq = run max_int in
+         fanned && String.equal (Bigint.to_string par) (Bigint.to_string seq));
     QCheck.Test.make ~name:"packed nice count equals reference oracle"
       ~count:60
       QCheck.(triple (int_range 1 6) (int_range 1 9) (int_bound 100000))
@@ -318,7 +328,7 @@ let packed_vs_reference_qcheck =
                sub)
          in
          let batch = Td_count.count_many prefixes g in
-         let indiv = List.map (fun h -> Td_count.count_reference h g) prefixes in
+         let indiv = List.map (fun h -> Td_ref.count h g) prefixes in
          List.for_all2 Bigint.equal batch indiv);
     QCheck.Test.make
       ~name:"count_many under candidates equals per-pattern counts" ~count:30
@@ -335,7 +345,7 @@ let packed_vs_reference_qcheck =
          let candidates = random_candidates rng max_nh ng in
          let batch = Td_count.count_many ~candidates hs g in
          let indiv =
-           List.map (fun h -> Td_count.count_reference ~candidates h g) hs
+           List.map (fun h -> Td_ref.count ~candidates h g) hs
          in
          List.for_all2 Bigint.equal batch indiv);
   ]

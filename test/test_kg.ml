@@ -2,6 +2,7 @@ open Wlcq_kg
 module G = Wlcq_graph
 module Core = Wlcq_core
 module Prng = Wlcq_util.Prng
+module Kg_kwl_ref = Wlcq_oracle.Kg_kwl_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -295,6 +296,38 @@ let test_kspec () =
       [ ""; "x"; "2; edges 0>1"; "2; labels 0; edges"; "2; edges 0-0>2";
         "2; edges 1-0>1" ]
 
+(* A random labelled digraph: vertex labels in {0, 1}, every ordered
+   pair of distinct vertices carrying each edge label in {0, 1, 2} with
+   probability 0.3 (so parallel edges with distinct labels occur). *)
+let random_kgraph rng n =
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      for l = 0 to 2 do
+        if u <> v && Prng.float rng < 0.3 then edges := (u, v, l) :: !edges
+      done
+    done
+  done;
+  Kgraph.create ~n
+    ~vertex_labels:(Array.init n (fun _ -> Prng.int rng 2))
+    ~edges:!edges
+
+(* Equal partitions of the same index set: a colour bijection maps one
+   colouring onto the other. *)
+let same_partition a b =
+  let fwd = Hashtbl.create 64 and bwd = Hashtbl.create 64 in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+          match (Hashtbl.find_opt fwd x, Hashtbl.find_opt bwd y) with
+          | None, None ->
+            Hashtbl.replace fwd x y;
+            Hashtbl.replace bwd y x;
+            true
+          | Some y', Some x' -> y' = y && x' = x
+          | Some _, None | None, Some _ -> false)
+       a b
+
 let kg_qcheck =
   [
     QCheck.Test.make
@@ -327,6 +360,22 @@ let kg_qcheck =
          let enc g = Kgraph.of_graph g ~vertex_label:0 ~edge_label:0 in
          Kwl.equivalent 2 (enc g1) (enc g2)
          = Wlcq_wl.Equivalence.equivalent 2 g1 g2);
+    QCheck.Test.make
+      ~name:"kg k-WL on the flat engine matches the list-based oracle"
+      ~count:40
+      QCheck.(quad (int_range 2 3) (int_range 1 5) (int_range 1 5)
+                (int_bound 100000))
+      (fun (k, n1, n2, seed) ->
+         let rng = Prng.create seed in
+         let g1 = random_kgraph rng n1 and g2 = random_kgraph rng n2 in
+         let f1, f2 = Kwl.run_pair k g1 g2 in
+         let o1, o2 = Kg_kwl_ref.run_pair k g1 g2 in
+         let joint (r1 : Kwl.result) (r2 : Kwl.result) =
+           Array.append r1.colours r2.colours
+         in
+         same_partition (joint f1 f2) (joint o1 o2)
+         && f1.rounds = o1.rounds
+         && f1.num_colours = o1.num_colours);
   ]
 
 let () =

@@ -23,7 +23,8 @@ module Exact = Wlcq_treewidth.Exact
 module Brute = Wlcq_hom.Brute
 module Inj = Wlcq_hom.Inj
 module Td_count = Wlcq_hom.Td_count
-module Nice_count = Wlcq_hom.Nice_count
+module Nice_count = Wlcq_oracle.Nice_count
+module Fanout = Wlcq_oracle.Fanout
 module Kwl = Wlcq_wl.Kwl
 module Cfi = Wlcq_cfi.Cfi
 module Cloning = Wlcq_cfi.Cloning
@@ -304,7 +305,7 @@ let test_partial_count_ladders () =
 let test_td_count_ladder () =
   let h = loose_bracket_graph () and g = Builders.clique 7 in
   let exact = Td_count.count h g in
-  Exact.clear_decomposition_memo ();
+  Cache.clear ();
   (match Td_count.count_budgeted ~budget:(Budget.create ()) h g with
    | `Exact v -> check_bool "live budget: exact count" true (Bigint.equal v exact)
    | `Degraded _ | `Exhausted _ -> Alcotest.fail "live budget must stay exact");
@@ -312,7 +313,6 @@ let test_td_count_ladder () =
      count is still exact, over the heuristic decomposition.  The
      content-addressed tier is now readable under a budget, so it must
      be emptied or the memoised total short-circuits the ladder. *)
-  Exact.clear_decomposition_memo ();
   Cache.clear ();
   (match
      expect_bump "robust.fallback.td_heuristic_decomp" (fun () ->
@@ -326,7 +326,6 @@ let test_td_count_ladder () =
      Alcotest.fail "condition-free trip must reach the heuristic-DP rung");
   (* an injected allocation failure exhausts the DP itself — again the
      warm content tier would mask the fault, so empty it first *)
-  Exact.clear_decomposition_memo ();
   Cache.clear ();
   match
     with_fault ~seed:5 ~sites:[ Fault.Dp_alloc ] (fun () ->
@@ -344,7 +343,7 @@ let test_nice_count_ladder () =
   let h = loose_bracket_graph () and g = Builders.clique 7 in
   let exact = Nice_count.count h g in
   check_bool "nice agrees with td" true (Bigint.equal exact (Td_count.count h g));
-  Exact.clear_decomposition_memo ();
+  Cache.clear ();
   (match
      expect_bump "robust.fallback.nice_heuristic_decomp" (fun () ->
          Nice_count.count_budgeted ~budget:(hand_tripped ()) h g)
@@ -355,7 +354,7 @@ let test_nice_count_ladder () =
      Alcotest.fail "condition-free trip must reach the heuristic-DP rung");
   (* a cancelled token is a standing condition: the forked DP re-trips
      at its first poll and the ladder bottoms out *)
-  Exact.clear_decomposition_memo ();
+  Cache.clear ();
   match
     expect_bump "robust.fallback.nice_exhausted" (fun () ->
         Nice_count.count_budgeted ~budget:(cancelled_budget ()) h g)
@@ -364,10 +363,15 @@ let test_nice_count_ladder () =
   | `Exact _ | `Degraded _ ->
     Alcotest.fail "cancelled token must exhaust the whole ladder"
 
+(* The fan-out tests go through [count_with_decomposition_budgeted]
+   with K1,4 decomposed around its centre at node 0, where the DP
+   roots: four leaf subtrees to spread over workers.  (The
+   decompositions [count_budgeted] builds make node 0 a leaf, so it
+   never fans out.) *)
 let test_td_spawn_demotion () =
   if Domain.recommended_domain_count () <= 1 then ()
   else begin
-    let h = Builders.path 6 and g = Builders.clique 6 in
+    let h, d = Fanout.star 4 and g = Builders.clique 6 in
     let exact = Td_count.count h g in
     let saved = !Td_count.parallel_threshold in
     Td_count.parallel_threshold := 0;
@@ -376,8 +380,10 @@ let test_td_spawn_demotion () =
       (fun () ->
          match
            with_fault ~seed:9 ~sites:[ Fault.Domain_spawn ] (fun () ->
-               expect_bump "robust.fallback.td_seq_resume" (fun () ->
-                   Td_count.count_budgeted ~budget:(Budget.create ()) h g))
+               expect_bump "td_count.par_runs" (fun () ->
+                   expect_bump "robust.fallback.td_seq_resume" (fun () ->
+                       Td_count.count_with_decomposition_budgeted
+                         ~budget:(Budget.create ()) d h g)))
          with
          | `Exact v ->
            check_bool "demoted strides, byte-identical count" true
@@ -478,7 +484,6 @@ let with_postmortem ~engine f =
 
 let test_postmortem_td_fault () =
   let h = loose_bracket_graph () and g = Builders.clique 7 in
-  Exact.clear_decomposition_memo ();
   (* the ladder tests memoised this exact (h, g) total; a warm content
      tier would answer before the DP fault can fire *)
   Cache.clear ();
@@ -501,16 +506,18 @@ let test_postmortem_kwl_trip () =
 let test_postmortem_spawn_demotion () =
   if Domain.recommended_domain_count () <= 1 then ()
   else begin
-    let h = Builders.path 6 and g = Builders.clique 6 in
+    let h, d = Fanout.star 4 and g = Builders.clique 6 in
     let saved = !Td_count.parallel_threshold in
     Td_count.parallel_threshold := 0;
     Fun.protect
       ~finally:(fun () -> Td_count.parallel_threshold := saved)
       (fun () ->
-         with_postmortem ~engine:"td_count.count" (fun () ->
+         with_postmortem ~engine:"td_count.count_with_decomposition" (fun () ->
              match
                with_fault ~seed:9 ~sites:[ Fault.Domain_spawn ] (fun () ->
-                   Td_count.count_budgeted ~budget:(Budget.create ()) h g)
+                   expect_bump "td_count.par_runs" (fun () ->
+                       Td_count.count_with_decomposition_budgeted
+                         ~budget:(Budget.create ()) d h g))
              with
              | `Exact _ -> ()
              | `Degraded _ | `Exhausted _ ->
@@ -607,22 +614,28 @@ let check_prompt name outcome_ms =
   check_bool (Printf.sprintf "%s answers within 50 ms (took %.1f)" name ms)
     true (ms <= 50.0)
 
+(* Each timed call must run its engine, not read a memoised answer.
+   The fresh random graph's decomposition cannot be in the cache tier,
+   and the miss counter proves it; emptying the whole tier instead
+   would shrink the live heap just before the timed search and slow it
+   through GC pacing.  The later calls empty the tier, outside the
+   timed region (set-up, not engine work). *)
 let test_deadline_responsiveness () =
   let rng = Prng.create 17 in
   let big = Gen.gnp rng 26 0.35 in
   check_prompt "optimal_decomposition_budgeted"
-    (elapsed_ms (fun () ->
-         Exact.clear_decomposition_memo ();
-         let b = Budget.create ~deadline_ms:1.0 () in
-         ignore (Exact.optimal_decomposition_budgeted ~budget:b big)));
+    (expect_bump "tw.decomp_memo_misses" (fun () ->
+         elapsed_ms (fun () ->
+             let b = Budget.create ~deadline_ms:1.0 () in
+             ignore (Exact.optimal_decomposition_budgeted ~budget:b big))));
   check_prompt "Brute.count_budgeted"
     (elapsed_ms (fun () ->
          let b = Budget.create ~deadline_ms:1.0 () in
          ignore (Brute.count_budgeted ~budget:b (Builders.cycle 5)
                    (Builders.clique 16))));
+  Cache.clear ();
   check_prompt "Td_count.count_budgeted"
     (elapsed_ms (fun () ->
-         Exact.clear_decomposition_memo ();
          let b = Budget.create ~deadline_ms:1.0 () in
          ignore (Td_count.count_budgeted ~budget:b (Builders.path 8)
                    (Gen.gnp rng 40 0.3))));
@@ -635,9 +648,9 @@ let test_deadline_responsiveness () =
          let b = Budget.create ~deadline_ms:1.0 () in
          ignore (Cfi.build_budgeted ~budget:b (Builders.star 22)
                    (Bitset.create 23))));
+  Cache.clear ();
   check_prompt "Wl_dimension.dimension_budgeted"
     (elapsed_ms (fun () ->
-         Exact.clear_decomposition_memo ();
          let b = Budget.create ~deadline_ms:1.0 () in
          let q = Cq.make (Gen.gnp rng 10 0.4) [ 0; 1 ] in
          ignore (Wl_dimension.dimension_budgeted ~budget:b q)))
@@ -692,8 +705,10 @@ let prop_td_count_containment =
     (fun (s, mode) ->
        let g = graph_of_seed s in
        let h = Builders.cycle (3 + (s mod 2)) in
-       let exact = Td_count.count h g in
-       Exact.clear_decomposition_memo ();
+       (* the exact count comes from the reference oracle, which
+          leaves the cache tier alone, so the budgeted run below
+          computes instead of reading a memoised total *)
+       let exact = Wlcq_oracle.Td_ref.count h g in
        match Td_count.count_budgeted ~budget:(budget_of_mode mode) h g with
        | `Exact v | `Degraded (v, _) -> Bigint.equal v exact
        | `Exhausted _ -> mode <> 0)

@@ -556,6 +556,23 @@ let test_deadline_exhausts () =
       let r = expect_ok "ping after" (Client.call ~socket (req ~id:"p" Wire.Ping)) in
       check_string "still serving" "pong" r.Wire.r_value)
 
+let test_unallocatable_decide () =
+  with_server (fun ~socket ~t:_ ->
+      (* 40^9 9-tuples: the worker cannot allocate the tuple space, and
+         the reply names Kwl's error instead of "internal error" *)
+      let r =
+        expect_ok "oversized decide"
+          (Client.call ~socket
+             (req ~id:"big"
+                (Wire.Decide { k = 9; g1 = "clique:40"; g2 = "clique:40" })))
+      in
+      check_bool "answered with an error" true (status_is Wire.Error_ r);
+      check_bool "error names Kwl" true
+        (String.length r.Wire.r_detail >= 4
+         && String.equal (String.sub r.Wire.r_detail 0 4) "Kwl.");
+      let r = expect_ok "ping after" (Client.call ~socket (req ~id:"p" Wire.Ping)) in
+      check_string "still serving" "pong" r.Wire.r_value)
+
 let test_overload_sheds () =
   with_server
     ~tweak:(fun c ->
@@ -803,6 +820,8 @@ let () =
           Alcotest.test_case "idle sessions are reaped" `Quick test_idle_reap;
           Alcotest.test_case "periodic flush writes the snapshot" `Quick
             test_periodic_flush_writes_metrics;
+          Alcotest.test_case "unallocatable decide names the cause" `Quick
+            test_unallocatable_decide;
         ] );
       ( "storm",
         [ Alcotest.test_case "500-fault storm, clean drain" `Slow

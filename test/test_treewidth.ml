@@ -1,5 +1,6 @@
 open Wlcq_graph
 open Wlcq_treewidth
+module Nice = Wlcq_oracle.Nice
 module Prng = Wlcq_util.Prng
 module Bitset = Wlcq_util.Bitset
 
