@@ -183,9 +183,9 @@ let cache_term =
     Arg.(value & opt (some int) None
          & info [ "cache-size-mb" ] ~docv:"MB"
              ~doc:"Capacity of the content-addressed result cache \
-                   (decompositions, k-WL verdicts and colourings, hom \
-                   counts), in megabytes of live heap; default 256. \
-                   $(b,0) disables the cache entirely.")
+                   (decompositions, k-WL verdicts, hom counts, pattern \
+                   enumerations), in megabytes of live heap; default \
+                   256.  $(b,0) disables the cache entirely.")
   in
   let cache_load =
     Arg.(value & opt (some string) None
@@ -310,13 +310,14 @@ let ans_cmd =
         (Bigint.to_string
            (Core.Wl_dimension.answers_via_interpolation ~budget q graph))
     else
-      match Core.Cq.count_answers_budgeted ~budget q graph with
-      | `Exact n -> Printf.printf "%d\n" n
+      match Core.Fast_count.count_answers_budgeted ~budget q graph with
+      | `Exact n -> Printf.printf "%s\n" (Bigint.to_string n)
       | `Degraded (n, r) ->
-        Printf.printf "%d   (degraded: %s)\n" n (Outcome.reason_to_string r);
+        Printf.printf "%s   (degraded: %s)\n" (Bigint.to_string n)
+          (Outcome.reason_to_string r);
         exit exit_degraded
       | `Exhausted (partial, r) ->
-        Printf.printf ">= %d   (exhausted: %s)\n" partial
+        Printf.printf ">= %s   (exhausted: %s)\n" (Bigint.to_string partial)
           (Budget.reason_to_string r);
         exit exit_degraded
   in
@@ -470,9 +471,9 @@ let witness_cmd =
       match Core.Wl_dimension.separating_pair ~max_z:2 q with
       | None -> Printf.printf "no separating pair found within the z-bound\n"
       | Some (g1, g2) ->
-        Printf.printf "separating pair (graph6, |Ans| = %d vs %d):\n"
-          (Core.Cq.count_answers q g1)
-          (Core.Cq.count_answers q g2);
+        Printf.printf "separating pair (graph6, |Ans| = %s vs %s):\n"
+          (Bigint.to_string (Core.Fast_count.count_answers q g1))
+          (Bigint.to_string (Core.Fast_count.count_answers q g2));
         Printf.printf "  %s\n  %s\n" (G.Graph6.encode g1) (G.Graph6.encode g2)
     end
   in
@@ -548,7 +549,8 @@ let union_cmd =
        | None -> ()
        | Some s ->
          let g = parse_graph s in
-         Printf.printf "answers:       %d\n" (Core.Ucq.count_answers u g))
+         Printf.printf "answers:       %s\n"
+           (Bigint.to_string (Core.Ucq.count_answers u g)))
   in
   let graph =
     Arg.(value & opt (some string) None

@@ -63,9 +63,10 @@ let () =
   match Wl_dimension.separating_pair q with
   | None -> Printf.printf "no separating pair found (unexpected)\n"
   | Some (g1, g2) ->
-    let c1 = Cq.count_answers q g1 and c2 = Cq.count_answers q g2 in
+    let count g = Wlcq_util.Bigint.to_string (Fast_count.count_answers q g) in
+    let c1 = count g1 and c2 = count g2 in
     Printf.printf
       "\nseparating pair (Lemma 40): %d vs %d vertices,\n\
-       |Ans| = %d vs %d, and the graphs are %d-WL-equivalent: %b\n"
+       |Ans| = %s vs %s, and the graphs are %d-WL-equivalent: %b\n"
       (G.Graph.num_vertices g1) (G.Graph.num_vertices g2) c1 c2 (k - 1)
       (Wlcq_wl.Equivalence.equivalent (k - 1) g1 g2)

@@ -58,11 +58,11 @@ let () =
       (G.Graph.num_vertices g1);
     Printf.printf "  identical order-%d GNN features: %b\n" (k - 1)
       (Gnn.indistinguishable ~order:(k - 1) g1 g2);
-    Printf.printf "  |Ans| = %d vs %d  -> every order-%d readout must \
+    Printf.printf "  |Ans| = %s vs %s  -> every order-%d readout must \
                    answer identically, and is therefore wrong on one of \
                    them\n"
-      (Core.Cq.count_answers q g1)
-      (Core.Cq.count_answers q g2)
+      (Wlcq_util.Bigint.to_string (Core.Fast_count.count_answers q g1))
+      (Wlcq_util.Bigint.to_string (Core.Fast_count.count_answers q g2))
       (k - 1);
     Printf.printf "  order-%d GNN features already differ: %b (Theorem 1 \
                    upper bound)\n"

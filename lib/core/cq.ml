@@ -1,11 +1,7 @@
 open Wlcq_graph
 module Bitset = Wlcq_util.Bitset
 module Combinat = Wlcq_util.Combinat
-module Obs = Wlcq_obs.Obs
 module Budget = Wlcq_robust.Budget
-module Outcome = Wlcq_robust.Outcome
-
-let m_ans_partial = Obs.counter "robust.fallback.ans_partial"
 
 type t = { graph : Graph.t; free : Bitset.t }
 
@@ -72,24 +68,6 @@ let count_answers ?budget q g =
   let n = ref 0 in
   iter_answers ?budget q g (fun _ -> incr n);
   !n
-
-(* answers are enumerated in a fixed order, so the partial count at
-   the trip is a sound lower bound on |Ans(q, g)| *)
-(* lint: allow R8 Invalid_argument is Brute's pin-range validation
-   reporting a caller bug, deliberately outside the Outcome envelope *)
-let count_answers_budgeted ~budget q g =
-  Obs.entry_point "cq.count_answers" @@ fun () ->
-  let n = ref 0 in
-  match iter_answers ~budget q g (fun _ -> incr n) with
-  | () -> `Exact !n
-  | exception Budget.Exhausted r ->
-    Obs.incr m_ans_partial;
-    Obs.journal ~severity:Obs.Warn
-      ~attrs:
-        [ ("reason", Budget.reason_to_string r);
-          ("partial", string_of_int !n) ]
-      "cq.ans_partial";
-    `Exhausted (!n, r)
 
 let answers q g =
   let acc = ref [] in

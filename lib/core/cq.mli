@@ -12,7 +12,6 @@
 
 open Wlcq_graph
 module Budget = Wlcq_robust.Budget
-module Outcome = Wlcq_robust.Outcome
 
 type t = private {
   graph : Graph.t;  (** the query graph [H] *)
@@ -46,17 +45,13 @@ val is_connected : t -> bool
     [free_vars q]) extends to a homomorphism. *)
 val is_answer : t -> Graph.t -> int array -> bool
 
-(** [count_answers q g] is [|Ans(q, g)|].  [budget] is ticked once per
-    candidate assignment.
+(** [count_answers q g] is [|Ans(q, g)|] by enumerating the
+    [|V(g)|^|X|] candidate assignments.  This is the independent
+    enumeration route that tests, benchmarks and {!Certificate} check
+    {!Fast_count.count_answers} against; shipped surfaces count with
+    {!Fast_count}.  [budget] is ticked once per candidate assignment.
     @raise Budget.Exhausted when [budget] trips. *)
 val count_answers : ?budget:Budget.t -> t -> Graph.t -> int
-
-(** Non-raising variant: [`Exhausted (partial, r)] carries the answers
-    counted before the trip — enumeration order is fixed, so a sound
-    lower bound on [|Ans(q, g)|].  Bumps
-    [robust.fallback.ans_partial]. *)
-val count_answers_budgeted :
-  budget:Budget.t -> t -> Graph.t -> (int, int * Budget.reason) Outcome.t
 
 (** [iter_answers q g f] applies [f] to every answer; the array is
     reused between calls.

@@ -46,16 +46,19 @@ let target_support g =
 (* ------------------------------------------------------------------ *)
 (* Enumeration kernel for small instances.                             *)
 (*                                                                     *)
-(* When ng^|X| and every component tabulation ng^(|C|+|δ|) are tiny,   *)
+(* When ng^|X| and every component sweep Hom(H[C ∪ δ], G) are small,   *)
 (* the contract/decomposition/Dp_key machinery of the packed engine    *)
 (* below costs more than the whole count.  This kernel tabulates each  *)
 (* attached component's satisfiable δ-assignments into a flat byte     *)
 (* table with ONE homomorphism enumeration per component, then counts  *)
 (* free assignments by direct backtracking with early edge pruning —   *)
-(* no decomposition, no packed tables, no arc consistency.             *)
+(* no decomposition, no packed tables, no arc consistency.  Each free  *)
+(* assignment is visited once, in a fixed order, and only complete     *)
+(* answers are counted, so [total] is a sound lower bound on           *)
+(* |Ans(q, g)| whenever the budget unwinds the search.                 *)
 (* ------------------------------------------------------------------ *)
 
-let count_answers_enum ~budget q g components =
+let count_answers_enum ~budget ~total q g components =
   let h = q.Cq.graph in
   let n = Graph.num_vertices g in
   let xs = Cq.free_vars q in
@@ -66,8 +69,9 @@ let count_answers_enum ~budget q g components =
     if Obs.enabled () then Obs.incr m_runs;
     (* per attached component: scope positions in X plus a membership
        check on their images, tabulated by one Brute.iter sweep.  The
-       dispatch decision that routed here bounded every component's
-       ng^(|C|+|δ|) by enum_answers_max, so each table fits. *)
+       table has ng^|δ| entries with δ ⊆ X, and the dispatch decision
+       that routed here bounded ng^|X| by enum_answers_max, so each
+       table fits. *)
     let comp_checks =
       List.filter_map
         (fun (members, attached) ->
@@ -119,7 +123,6 @@ let count_answers_enum ~budget q g components =
       (fun (last, holds) -> checks_at.(last) <- holds :: checks_at.(last))
       comp_checks;
     let images = Array.make k 0 in
-    let total = ref 0 in
     let rec go i =
       if i = k then incr total
       else begin
@@ -385,10 +388,12 @@ let count_answers_packed ~budget q g components =
       (Dp_key.total tables.(rooted.Wlcq_treewidth.Decomposition.root))
 
 (* ------------------------------------------------------------------ *)
-(* Entry point: shared trivial cases, then engine dispatch.            *)
+(* Entry point: shared trivial cases, then engine dispatch.  [total]   *)
+(* is the kernel's running count, read back as the sound partial when  *)
+(* the budget trips; the packed DP never writes it.                    *)
 (* ------------------------------------------------------------------ *)
 
-let count_answers ?(budget = Budget.unlimited) q g =
+let count ~budget ~total q g =
   let h = q.Cq.graph in
   let n = Graph.num_vertices g in
   let k = Array.length (Cq.free_vars q) in
@@ -416,24 +421,32 @@ let count_answers ?(budget = Budget.unlimited) q g =
            else max acc (List.length members + List.length attached))
         0 components
     in
-    match Dispatch.choose_answers ~nx:k ~max_comp ~ng:n with
-    | Dispatch.Ans_enum -> count_answers_enum ~budget q g components
+    match
+      Dispatch.choose_answers ~nx:k ~max_comp ~ng:n ~mg:(Graph.num_edges g)
+    with
+    | Dispatch.Ans_enum -> count_answers_enum ~budget ~total q g components
     | Dispatch.Ans_packed -> count_answers_packed ~budget q g components
   end
 
-(* like [Brute.count_budgeted] in shape, but the DP's intermediate
-   tables admit no sound partial reading, so exhaustion carries no
-   partial count *)
+let count_answers ?(budget = Budget.unlimited) q g =
+  count ~budget ~total:(ref 0) q g
+
+(* the partial is the kernel's running total at the trip (a sound
+   lower bound, see [count_answers_enum]); a DP table cut off mid-run
+   admits no sound reading, so a packed run reports 0 *)
 (* lint: allow R8 the reachable Failure and Invalid_argument raises are
    internal-invariant checks (decomposition coverage, DP key arity):
    programming errors, not budget outcomes *)
 let count_answers_budgeted ~budget q g =
   Obs.entry_point "fast_count.count_answers" @@ fun () ->
-  match count_answers ~budget q g with
+  let total = ref 0 in
+  match count ~budget ~total q g with
   | v -> `Exact v
   | exception Budget.Exhausted r ->
     Obs.incr m_exhausted;
     Obs.journal ~severity:Obs.Warn
-      ~attrs:[ ("reason", Budget.reason_to_string r) ]
+      ~attrs:
+        [ ("reason", Budget.reason_to_string r);
+          ("partial", string_of_int !total) ]
       "fast_count.exhausted";
-    `Exhausted r
+    `Exhausted (Bigint.of_int !total, r)

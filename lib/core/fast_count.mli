@@ -18,10 +18,15 @@
       clique there, hence fits in a bag).
 
     The total cost is [|V(G)|^{O(ew)}] — polynomial for fixed
-    extension width, in contrast to the [|V(G)|^{|X|}] enumeration of
-    {!Cq.count_answers}.  Both are cross-validated in the test suite
+    extension width, in contrast to the [|V(G)|^{|X|}] enumeration
+    route in {!Cq}.  Both are cross-validated in the test suite
     (against each other and against the original list-keyed DP, kept
-    there as the oracle) and compared in bench series F3. *)
+    there as the oracle) and compared in bench series F3.
+
+    This module is the one way the CLI, the daemon and the library
+    count the answers of a CQ; the enumeration route stays as the
+    independent count that the tests, the bench and {!Certificate}
+    check it against. *)
 
 open Wlcq_graph
 module Budget = Wlcq_robust.Budget
@@ -40,9 +45,13 @@ module Outcome = Wlcq_robust.Outcome
     @raise Budget.Exhausted when [budget] trips. *)
 val count_answers : ?budget:Budget.t -> Cq.t -> Graph.t -> Wlcq_util.Bigint.t
 
-(** Non-raising variant: the DP's intermediate tables admit no sound
-    partial reading, so exhaustion carries no partial count.  Bumps
-    [robust.fallback.fast_exhausted]. *)
+(** Non-raising variant: [`Exhausted (partial, r)] carries a sound
+    lower bound on [|Ans(q, g)|].  When the dispatch routed the count
+    to the enumeration kernel, [partial] is the kernel's running total
+    at the trip (it visits each free assignment once, in a fixed
+    order, and counts only complete answers); when the packed DP ran,
+    [partial] is [0], since a DP table cut off mid-run admits no sound
+    reading.  Bumps [robust.fallback.fast_exhausted]. *)
 val count_answers_budgeted :
   budget:Budget.t -> Cq.t -> Graph.t ->
-  (Wlcq_util.Bigint.t, Budget.reason) Outcome.t
+  (Wlcq_util.Bigint.t, Wlcq_util.Bigint.t * Budget.reason) Outcome.t

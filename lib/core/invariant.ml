@@ -6,8 +6,7 @@ type t = { name : string; value : Graph.t -> string }
 let of_int name f = { name; value = (fun g -> string_of_int (f g)) }
 let of_bigint name f = { name; value = (fun g -> Bigint.to_string (f g)) }
 
-let of_query name q =
-  { name; value = (fun g -> string_of_int (Cq.count_answers q g)) }
+let of_query name q = of_bigint name (Fast_count.count_answers q)
 
 let witness_pairs () =
   let cfi base =

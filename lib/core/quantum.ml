@@ -46,7 +46,8 @@ let evaluate q g =
   List.fold_left
     (fun acc t ->
        Rat.add acc
-         (Rat.mul t.coeff (Rat.of_int (Cq.count_answers t.query g))))
+         (Rat.mul t.coeff
+            (Rat.of_bigint (Fast_count.count_answers t.query g))))
     Rat.zero q
 
 let hsew q =

@@ -23,8 +23,13 @@ let of_string s =
 
 let disjuncts u = u
 
-let count_answers u g = Quantum.count_union_answers u g
-
 let to_quantum u = Quantum.of_union u
+
+(* inclusion–exclusion has integer coefficients, so the sum is an
+   integer *)
+let count_answers u g =
+  match Wlcq_util.Rat.to_bigint_opt (Quantum.evaluate (to_quantum u) g) with
+  | Some n -> n
+  | None -> failwith "Ucq.count_answers: non-integral quantum evaluation"
 
 let wl_dimension u = Quantum.hsew (to_quantum u)

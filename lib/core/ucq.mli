@@ -21,8 +21,11 @@ val of_string : string -> (t, string) result
 
 val disjuncts : t -> Cq.t list
 
-(** [count_answers u g] counts the union's answers by enumeration. *)
-val count_answers : t -> Graph.t -> int
+(** [count_answers u g] counts the union's answers through its
+    quantum representation ({!to_quantum}), each constituent counted by
+    {!Fast_count.count_answers}.  {!Quantum.count_union_answers} is the
+    enumeration route to check it against. *)
+val count_answers : t -> Graph.t -> Wlcq_util.Bigint.t
 
 (** [to_quantum u] is the inclusion–exclusion quantum representation. *)
 val to_quantum : t -> Quantum.t

@@ -218,9 +218,9 @@ let separating_pair ?(max_z = 3) q =
      Wlcq_util.Combinat.iter_tuples max_z k (fun t ->
          let spec = Array.to_list (Array.mapi (fun p z -> (p, z + 1)) t) in
          let ge, go = clone_both spec in
-         let ce = Cq.count_answers w.core ge.Cloning.graph in
-         let co = Cq.count_answers w.core go.Cloning.graph in
-         if ce <> co then begin
+         let ce = Fast_count.count_answers w.core ge.Cloning.graph in
+         let co = Fast_count.count_answers w.core go.Cloning.graph in
+         if not (Bigint.equal ce co) then begin
            result := Some (ge.Cloning.graph, go.Cloning.graph);
            raise Exit
          end)

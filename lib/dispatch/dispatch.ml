@@ -134,9 +134,12 @@ let prune_candidates ~work =
 
 type ans_choice = Ans_enum | Ans_packed
 
-let choose_answers ~nx ~max_comp ~ng =
+let choose_answers ~nx ~max_comp ~ng ~mg =
   let lim = !table.enum_answers_max in
-  if sat_pow ng nx <= lim && sat_pow ng max_comp <= lim then begin
+  (* the kernel's work: the free-assignment search (ng^nx leaves) plus
+     one Hom(H[C ∪ δ], G) sweep per component, whose tables have only
+     ng^|δ| <= ng^nx entries *)
+  if sat_pow ng nx <= lim && brute_cost ~nh:max_comp ~ng ~mg <= lim then begin
     Wlcq_obs.Obs.incr c_ans_enum;
     note "ans_enum" [ ("nx", string_of_int nx); ("ng", string_of_int ng) ];
     Ans_enum

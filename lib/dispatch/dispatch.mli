@@ -46,8 +46,8 @@ type calibration = {
           it the fixpoint costs more than the pruning saves *)
   enum_answers_max : int;
       (** answer counting: use the direct enumeration kernel when both
-          ng^|X| and the largest component tabulation ng^(|C|+|δ|) are
-          at most this *)
+          ng^|X| and the {!brute_cost} of the largest component sweep
+          [Hom(H[C ∪ δ], G)] are at most this *)
   dp_parallel_min : int;
       (** Σ_bags ng^arity at which the treewidth DP fans independent
           root subtrees out to worker domains *)
@@ -111,13 +111,16 @@ val prune_candidates : work:int -> bool
 
 type ans_choice = Ans_enum | Ans_packed
 
-(** [choose_answers ~nx ~max_comp ~ng]: engine for one [|Ans(q, g)|]
-    count.  [nx] is the free-variable count, [max_comp] the largest
-    [|C_i| + |δ_i|] over quantified components.  [Ans_enum] when both
-    [ng^nx] and [ng^max_comp] are within [enum_answers_max] (the
-    enumeration kernel tabulates each component in a table of that
-    size, so steer it with a value the instances can afford). *)
-val choose_answers : nx:int -> max_comp:int -> ng:int -> ans_choice
+(** [choose_answers ~nx ~max_comp ~ng ~mg]: engine for one
+    [|Ans(q, g)|] count.  [nx] is the free-variable count, [max_comp]
+    the largest [|C_i| + |δ_i|] over quantified components, [mg] the
+    edge count of the target.  [Ans_enum] when both [ng^nx] and
+    [brute_cost ~nh:max_comp ~ng ~mg] are within [enum_answers_max]:
+    the enumeration kernel backtracks over the [ng^nx] free
+    assignments and sweeps [Hom(H[C_i ∪ δ_i], G)] once per component
+    into a table of [ng^|δ_i|] entries, [δ_i ⊆ X] (so steer it with a
+    value the instances can afford). *)
+val choose_answers : nx:int -> max_comp:int -> ng:int -> mg:int -> ans_choice
 
 (** [dp_domains ~requested ~subtrees ~work ~threshold]: worker-domain
     count for the treewidth DP's root-subtree fan-out.  [threshold]

@@ -11,6 +11,7 @@
 
 module G = Wlcq_graph
 module Core = Wlcq_core
+module Bigint = Wlcq_util.Bigint
 module Budget = Wlcq_robust.Budget
 module Outcome = Wlcq_robust.Outcome
 
@@ -55,13 +56,13 @@ let run_op ~budget (op : Wire.op) =
   | Wire.Count { query; graph } -> (
     let* q = parse_query query in
     let* g = parse_graph graph in
-    match Core.Cq.count_answers_budgeted ~budget q g with
-    | `Exact n -> `Value (string_of_int n, "")
-    | `Degraded (n, r) -> `Degraded (string_of_int n, degraded_detail r)
+    match Core.Fast_count.count_answers_budgeted ~budget q g with
+    | `Exact n -> `Value (Bigint.to_string n, "")
+    | `Degraded (n, r) -> `Degraded (Bigint.to_string n, degraded_detail r)
     | `Exhausted (partial, r) ->
       `Exhausted
-        (Printf.sprintf "%s; sound lower bound %d"
-           (Budget.reason_to_string r) partial))
+        (Printf.sprintf "%s; sound lower bound %s"
+           (Budget.reason_to_string r) (Bigint.to_string partial)))
   | Wire.Count_batch { queries; graph } -> (
     let* g = parse_graph graph in
     (* all queries share the request budget (and through it the cache
@@ -77,10 +78,10 @@ let run_op ~budget (op : Wire.op) =
         match parse_query q with
         | Error e -> `Malformed e
         | Ok q -> (
-          match Core.Cq.count_answers_budgeted ~budget q g with
-          | `Exact n -> go (string_of_int n :: acc) worst rest
+          match Core.Fast_count.count_answers_budgeted ~budget q g with
+          | `Exact n -> go (Bigint.to_string n :: acc) worst rest
           | `Degraded (n, r) ->
-            go (string_of_int n :: acc) (Some (degraded_detail r)) rest
+            go (Bigint.to_string n :: acc) (Some (degraded_detail r)) rest
           | `Exhausted (_, r) ->
             `Exhausted
               (Printf.sprintf "%s after %d of %d queries"

@@ -44,7 +44,11 @@ let branch_and_bound ~budget g initial_ub initial_order =
   let nodes_visited = ref 0 in
   let pruned = ref 0 in
   let rec go adj alive eliminated prefix current_max remaining =
-    Budget.tick_check budget;
+    (* a full poll per node, not one per tick interval: a node copies
+       the adjacency and scans for simplicial vertices, so the clock
+       read is noise, while 1024 nodes can outlast a 1 ms deadline by
+       tens of milliseconds on dense 26-vertex inputs *)
+    Budget.check budget;
     incr nodes_visited;
     if current_max >= !best then incr pruned
     else if remaining = 0 then begin

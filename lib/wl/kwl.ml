@@ -859,77 +859,3 @@ let equivalent_budgeted ?domains ~budget k g1 g2 =
 let equivalent_reference k g1 g2 =
   let r1, r2 = run_pair_reference k g1 g2 in
   List.equal (Ordering.equal_pair Int.equal Int.equal) (histogram r1) (histogram r2)
-
-(* ------------------------------------------------------------------ *)
-(* Run-independent colourings and the content-addressed cache          *)
-(* ------------------------------------------------------------------ *)
-
-let renumber (r : result) =
-  let map = Hashtbl.create 64 in
-  let next = ref 0 in
-  let colours =
-    Array.map
-      (fun c ->
-         match Hashtbl.find_opt map c with
-         | Some i -> i
-         | None ->
-           let i = !next in
-           incr next;
-           Hashtbl.replace map c i;
-           i)
-      r.colours
-  in
-  { colours; num_colours = !next; rounds = r.rounds }
-
-let m_cache_hits = Obs.counter "kwl.cache_hits"
-let m_cache_misses = Obs.counter "kwl.cache_misses"
-
-let colours_store =
-  Wlcq_cache.Cache.store ~name:"kwl.stable"
-    ~words:(fun (r : result) -> 8 + Array.length r.colours)
-    ()
-
-(* Reindex a stable colouring through a vertex permutation: tuple
-   [t] of the output takes the colour of tuple [map p t] of the
-   input.  With [p] the caller->canonical permutation this translates
-   a cached canonical-graph colouring back to caller tuple indices,
-   and with [p] its inverse it does the reverse. *)
-let translate_result k n (r : result) p =
-  let count = Array.length r.colours in
-  let colours = Array.make count 0 in
-  let t = Array.make (max 1 k) 0 in
-  for idx = 0 to count - 1 do
-    let x = ref idx in
-    for i = k - 1 downto 0 do
-      t.(i) <- !x mod n;
-      x := !x / n
-    done;
-    let cidx = ref 0 in
-    for i = 0 to k - 1 do
-      cidx := (!cidx * n) + p.(t.(i))
-    done;
-    colours.(idx) <- r.colours.(!cidx)
-  done;
-  { r with colours }
-
-let run_cached ?domains k g =
-  if not (Wlcq_cache.Cache.enabled ()) then renumber (run ?domains k g)
-  else begin
-    let addr, perm = Wlcq_cache.Cache.address g in
-    let key = string_of_int k ^ "|" ^ addr in
-    let n = Graph.num_vertices g in
-    match Wlcq_cache.Cache.find colours_store key with
-    | Some rc ->
-      Obs.incr m_cache_hits;
-      translate_result k n rc perm
-    | None ->
-      Obs.incr m_cache_misses;
-      let r = run ?domains k g in
-      (* store the canonical graph's renumbered colouring: colour ids
-         become a function of the isomorphism class alone, independent
-         of run order and of the caller's vertex labelling, so cache
-         equality is well-defined across runs *)
-      let rc = renumber (translate_result k n r (Wlcq_util.Perm.inverse perm)) in
-      Wlcq_cache.Cache.add colours_store key rc;
-      translate_result k n rc perm
-  end

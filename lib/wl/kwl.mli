@@ -23,9 +23,7 @@
     run the original list-based implementation; both produce the same
     stable partition, round count and colour count (the concrete
     colour ids may differ — ids are canonical within one run, not
-    across runs or engines; {!renumber} fixes a run-independent id
-    scheme, and cached colouring artifacts are always stored in that
-    renumbered form so cache equality is well-defined).
+    across runs or engines).
 
     Complexity is Θ(n^{k+1}) per full round, with sub-full rounds once
     refinement localises.  The tuple space [n^k] (and the [k·n^k]
@@ -68,23 +66,6 @@ val run_many : ?domains:int -> int -> Graph.t list -> result list
 
 (** [histogram r] is the sorted [(colour, multiplicity)] list. *)
 val histogram : result -> (int * int) list
-
-(** [renumber r] maps colour ids to first-occurrence order over the
-    tuple indices: same partition, but ids are now a deterministic
-    function of the coloured structure rather than of engine history —
-    the run-independent form every cached colouring artifact stores. *)
-val renumber : result -> result
-
-(** [run_cached k g] is {!run} through the content-addressed cache
-    tier ({!Wlcq_cache.Cache}): the stable colouring is stored against
-    the canonical form of [g] in {!renumber}ed form and translated
-    back through the canonicalising permutation, so an isomorphic
-    resubmission of [g] is a cache hit and two calls on isomorphic
-    graphs return identically-renumbered colourings of corresponding
-    tuples.  Ids are canonical per graph, NOT shared across graphs —
-    use {!run_pair}/{!run_many} to compare colours across graphs.
-    Counters: [kwl.cache_hits] / [kwl.cache_misses]. *)
-val run_cached : ?domains:int -> int -> Graph.t -> result
 
 (** [equivalent k g1 g2] tests folklore-k-WL-equivalence ([k >= 2]).
     Exits early as soon as the joint colour histograms of the two

@@ -10,9 +10,9 @@ module Cache = Wlcq_cache.Cache
 
 (* Brute enumeration for every hom count (brute costs saturate at
    [sat_cap]), and the enumeration kernel for every answer count whose
-   keyspace and component tabulations fit 2^20 entries — all the test
+   keyspace and component sweeps fit 2^20 steps — all the test
    instances.  Not [sat_cap] there: the kernel allocates its component
-   tables at up to that size. *)
+   tables at up to the keyspace's size. *)
 let brute =
   { Dispatch.default_calibration with
     Dispatch.brute_hom_max = Dispatch.sat_cap;

@@ -19,7 +19,6 @@ module Cache = Wlcq_cache.Cache
 module Exact = Wlcq_treewidth.Exact
 module Decomposition = Wlcq_treewidth.Decomposition
 module Td_count = Wlcq_hom.Td_count
-module Kwl = Wlcq_wl.Kwl
 module Cq = Wlcq_core.Cq
 module Parser = Wlcq_core.Parser
 module Wl_dimension = Wlcq_core.Wl_dimension
@@ -175,22 +174,8 @@ let test_differential_decomposition () =
   Alcotest.(check int) "cold width = warm width" (Decomposition.width cold)
     (Decomposition.width wh)
 
-let test_differential_kwl () =
+let test_differential_kwl_verdicts () =
   reset_tier ();
-  let g = Gen.gnp (Prng.create 14) 12 0.4 in
-  let cold, wm, wh = cold_warm_warm (fun () -> Kwl.run_cached 2 g) in
-  (* warm results carry canonical colour ids, the cold (tier-disabled)
-     path caller-order ids; the ids are contractually arbitrary — the
-     partition is the artifact — so normalise through [renumber] for
-     the cold/warm comparison *)
-  Alcotest.(check string) "cold = warm-miss partition"
-    (marshal (Kwl.renumber cold).Kwl.colours)
-    (marshal (Kwl.renumber wm).Kwl.colours);
-  Alcotest.(check string) "warm-miss = warm-hit bytes"
-    (marshal wm.Kwl.colours) (marshal wh.Kwl.colours);
-  Alcotest.(check int) "colour counts agree" cold.Kwl.num_colours
-    wh.Kwl.num_colours;
-  (* and the verdict store *)
   let g1 = Builders.cycle 6 in
   let g2 = Ops.disjoint_union (Builders.cycle 3) (Builders.cycle 3) in
   let c, m, h = cold_warm_warm (fun () -> Wl_dimension.equivalent_cached 1 g1 g2) in
@@ -410,8 +395,8 @@ let () =
             test_differential_count;
           Alcotest.test_case "decompositions: cold = warm" `Quick
             test_differential_decomposition;
-          Alcotest.test_case "k-WL colourings and verdicts: cold = warm"
-            `Quick test_differential_kwl;
+          Alcotest.test_case "k-WL verdicts: cold = warm" `Quick
+            test_differential_kwl_verdicts;
           Alcotest.test_case "permuted resubmission hits" `Quick
             test_permuted_resubmission_hits;
           QCheck_alcotest.to_alcotest qcheck_permuted_hit;

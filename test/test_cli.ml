@@ -73,6 +73,49 @@ let test_budget_exhaustion () =
   check_code "tw with slack deadline" 0
     "tw --graph cycle:8 --deadline-ms 10000"
 
+(* [wlcq ans] counts with the Corollary 4 DP in exact big integers:
+   instances whose |V(G)|^|X| enumeration cannot finish, and a count
+   past max_int *)
+let run_stdout args =
+  let out = Filename.temp_file "wlcq_test" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>/dev/null" wlcq args (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, String.trim text)
+
+(* x0 - y0 - x1 - y1 - ... - y(k-2) - x(k-1): consecutive free
+   variables share an existential neighbour *)
+let quantified_path k =
+  let atoms =
+    List.init (k - 1) (fun i ->
+        Printf.sprintf "E(x%d,y%d) & E(y%d,x%d)" i i i (i + 1))
+  in
+  Printf.sprintf "\"(%s) := exists %s . %s\""
+    (String.concat ", " (List.init k (Printf.sprintf "x%d")))
+    (String.concat " " (List.init (k - 1) (Printf.sprintf "y%d")))
+    (String.concat " & " atoms)
+
+let check_ans name args expected =
+  let code, out = run_stdout args in
+  Alcotest.(check int) (name ^ ": exit code") 0 code;
+  Alcotest.(check string) (name ^ ": count") expected out
+
+let test_ans_past_enumeration () =
+  check_ans "path3 on a 200-cycle"
+    (Printf.sprintf "ans %s --graph cycle:200 --deadline-ms 5000"
+       (quantified_path 3))
+    "1800"
+
+let test_ans_big_count () =
+  (* every 10-tuple of a 100-clique is an answer: 10^20 > max_int *)
+  check_ans "10-free path on a 100-clique"
+    (Printf.sprintf "ans %s --graph clique:100 --deadline-ms 5000"
+       (quantified_path 10))
+    "100000000000000000000"
+
 (* ---- PR 8: metrics exposition and offline diffing ---------------- *)
 
 let read_file file = In_channel.with_open_bin file In_channel.input_all
@@ -372,6 +415,12 @@ let () =
           Alcotest.test_case "negative verdict" `Quick test_negative_verdict;
           Alcotest.test_case "malformed input" `Quick test_malformed_inputs;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
+        ] );
+      ( "ans",
+        [
+          Alcotest.test_case "exact where enumeration cannot finish" `Quick
+            test_ans_past_enumeration;
+          Alcotest.test_case "counts past max_int" `Quick test_ans_big_count;
         ] );
       ( "observability",
         [

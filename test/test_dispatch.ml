@@ -216,19 +216,33 @@ let test_choose_hom_pinned () =
         (Dispatch.prune_candidates ~work:1))
 
 let test_choose_answers_pinned () =
+  let routes_to_enum ~nx ~max_comp ~ng ~mg =
+    match Dispatch.choose_answers ~nx ~max_comp ~ng ~mg with
+    | Dispatch.Ans_enum -> true
+    | Dispatch.Ans_packed -> false
+  in
   check_bool "small keyspace routes to enum" true
-    (match Dispatch.choose_answers ~nx:2 ~max_comp:3 ~ng:9 with
-     | Dispatch.Ans_enum -> true
-     | Dispatch.Ans_packed -> false);
-  check_bool "huge keyspace routes to packed" true
-    (match Dispatch.choose_answers ~nx:8 ~max_comp:10 ~ng:50 with
-     | Dispatch.Ans_packed -> true
-     | Dispatch.Ans_enum -> false);
+    (routes_to_enum ~nx:2 ~max_comp:3 ~ng:9 ~mg:12);
+  check_bool "huge keyspace routes to packed" false
+    (routes_to_enum ~nx:8 ~max_comp:10 ~ng:50 ~mg:300);
+  (* bench-pool shapes on which the kernel runs 5-50x faster than the
+     packed DP: its tables have ng^|δ| entries, δ ⊆ X, and its
+     component sweep costs brute_cost ~nh:|C ∪ δ| *)
+  check_bool "star3 on 14 vertices / 25 edges routes to enum" true
+    (routes_to_enum ~nx:3 ~max_comp:4 ~ng:14 ~mg:25);
+  check_bool "star2 on 40 vertices / 167 edges routes to enum" true
+    (routes_to_enum ~nx:2 ~max_comp:3 ~ng:40 ~mg:167);
+  check_bool "path2 on 24 vertices / 54 edges routes to enum" true
+    (routes_to_enum ~nx:2 ~max_comp:4 ~ng:24 ~mg:54);
+  (* the free-assignment search alone outgrows the cutoff *)
+  check_bool "three free variables over 200 vertices stay packed" false
+    (routes_to_enum ~nx:3 ~max_comp:4 ~ng:200 ~mg:400);
+  (* a dense target makes the component sweep outgrow the cutoff *)
+  check_bool "star2 on a 32-clique stays packed" false
+    (routes_to_enum ~nx:2 ~max_comp:3 ~ng:32 ~mg:496);
   Steer.with_calibration Steer.packed (fun () ->
-      check_bool "steered packed answers" true
-        (match Dispatch.choose_answers ~nx:2 ~max_comp:3 ~ng:9 with
-         | Dispatch.Ans_packed -> true
-         | Dispatch.Ans_enum -> false))
+      check_bool "steered packed answers" false
+        (routes_to_enum ~nx:2 ~max_comp:3 ~ng:9 ~mg:12))
 
 let test_parallel_decisions_pinned () =
   (* the threshold ref contract: max_int forces sequential, 0 forces

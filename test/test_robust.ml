@@ -292,15 +292,41 @@ let test_partial_count_ladders () =
      check_bool "inj partial is a lower bound" true
        (partial >= 0 && partial <= Inj.count h g)
    | `Exact _ | `Degraded _ -> Alcotest.fail "tripped inj must exhaust");
-  let q = (Parser.parse_exn "(x1, x2) := exists y . E(x1, y) & E(x2, y)").query in
+  (* the answer counter's partial is the enumeration kernel's running
+     total at the trip.  A fault injected at the first poll (tick
+     [Budget.tick_interval]) lands after the kernel's component sweep,
+     inside its free-assignment search, so the partial is a real count *)
+  let star3 =
+    (Parser.parse_exn
+       "(x1, x2, x3) := exists y . E(x1, y) & E(x2, y) & E(x3, y)").query
+  in
+  let g_enum = Builders.cycle 30 in
+  let exact = Bigint.of_int (Cq.count_answers star3 g_enum) in
+  (match
+     with_fault ~seed:5 ~sites:[ Fault.Deadline_check ] (fun () ->
+         expect_bump "dispatch.chose_enum" (fun () ->
+             expect_bump "robust.fallback.fast_exhausted" (fun () ->
+                 Fast_count.count_answers_budgeted ~budget:(Budget.create ())
+                   star3 g_enum)))
+   with
+   | `Exhausted (partial, _) ->
+     check_bool "kernel partial is a lower bound" true
+       (Bigint.sign partial >= 0 && Bigint.compare partial exact <= 0);
+     check_bool "kernel partial counts answers" true (Bigint.sign partial > 0)
+   | `Exact _ | `Degraded _ -> Alcotest.fail "tripped kernel must exhaust");
+  (* a DP table cut off mid-run has no sound reading: the packed route
+     reports 0 *)
+  let star2 =
+    (Parser.parse_exn "(x1, x2) := exists y . E(x1, y) & E(x2, y)").query
+  in
   match
-    expect_bump "robust.fallback.ans_partial" (fun () ->
-        Cq.count_answers_budgeted ~budget:(hand_tripped ()) q g)
+    expect_bump "dispatch.chose_packed" (fun () ->
+        Fast_count.count_answers_budgeted ~budget:(hand_tripped ()) star2
+          (Builders.clique 32))
   with
   | `Exhausted (partial, _) ->
-    check_bool "answer partial is a lower bound" true
-      (partial >= 0 && partial <= Cq.count_answers q g)
-  | `Exact _ | `Degraded _ -> Alcotest.fail "tripped count must exhaust"
+    check_bool "packed partial is 0" true (Bigint.is_zero partial)
+  | `Exact _ | `Degraded _ -> Alcotest.fail "tripped DP must exhaust"
 
 let test_td_count_ladder () =
   let h = loose_bracket_graph () and g = Builders.clique 7 in

@@ -476,6 +476,55 @@ let test_request_cycle () =
           check_bool "treewidth ok" true (status_is Wire.Ok_ r);
           check_string "tw(K4)" "3" r.Wire.r_value))
 
+(* x0 - y0 - x1 - ... - y(k-2) - x(k-1) *)
+let quantified_path k =
+  let atoms =
+    List.init (k - 1) (fun i ->
+        Printf.sprintf "E(x%d,y%d) & E(y%d,x%d)" i i i (i + 1))
+  in
+  Printf.sprintf "(%s) := exists %s . %s"
+    (String.concat ", " (List.init k (Printf.sprintf "x%d")))
+    (String.concat " " (List.init (k - 1) (Printf.sprintf "y%d")))
+    (String.concat " & " atoms)
+
+(* counts run the Corollary 4 DP and travel as decimal big integers:
+   an instance the |V(G)|^|X| enumeration cannot finish in 5 s, and a
+   count of 10^20 > max_int *)
+let test_count_exact_big () =
+  with_server (fun ~socket ~t:_ ->
+      let c = expect_ok "connect" (Client.connect ~socket ()) in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let path3 = quantified_path 3 and path10 = quantified_path 10 in
+          let count id query graph =
+            let r =
+              expect_ok id
+                (Client.request c
+                   (req ~id ~deadline_ms:5000.0 (Wire.Count { query; graph })))
+            in
+            check_bool (id ^ " ok") true (status_is Wire.Ok_ r);
+            r.Wire.r_value
+          in
+          check_string "path3 on a 200-cycle" "1800"
+            (count "c200" path3 "cycle:200");
+          check_string "10-free path on a 100-clique" "100000000000000000000"
+            (count "k100" path10 "clique:100");
+          let batch id graph =
+            let r =
+              expect_ok id
+                (Client.request c
+                   (req ~id ~deadline_ms:5000.0
+                      (Wire.Count_batch { queries = [ path3; path10 ]; graph })))
+            in
+            check_bool (id ^ " ok") true (status_is Wire.Ok_ r);
+            r.Wire.r_value
+          in
+          (* on the 200-cycle each x(i+1) is x(i) or x(i) +- 2: 200 * 3^9
+             answers for the 10-free path *)
+          check_string "batch on the 200-cycle" "1800,3936600"
+            (batch "b200" "cycle:200");
+          check_string "batch on the 100-clique"
+            "1000000,100000000000000000000" (batch "bk100" "clique:100")))
+
 let test_malformed_keeps_connection () =
   with_server (fun ~socket ~t:_ ->
       let fd = raw_connect socket in
@@ -822,6 +871,8 @@ let () =
             test_periodic_flush_writes_metrics;
           Alcotest.test_case "unallocatable decide names the cause" `Quick
             test_unallocatable_decide;
+          Alcotest.test_case "exact big counts past enumeration" `Quick
+            test_count_exact_big;
         ] );
       ( "storm",
         [ Alcotest.test_case "500-fault storm, clean drain" `Slow
