@@ -229,6 +229,16 @@ let budget_term =
   in
   Term.(const budget_setup $ deadline_ms $ max_live_mb)
 
+(* [show_measure degraded to_string f] renders [f ()], or the trip that
+   stopped it as "exhausted (reason)", setting [degraded]: for the
+   exact measures, which have no sound partial result. *)
+let show_measure degraded to_string f =
+  match f () with
+  | v -> to_string v
+  | exception Budget.Exhausted r ->
+    degraded := true;
+    Printf.sprintf "exhausted (%s)" (Budget.reason_to_string r)
+
 (* ------------------------------------------------------------------ *)
 (* wlcq widths                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -239,13 +249,7 @@ let widths_cmd =
     let p = parse_query query_str in
     let q = p.Core.Parser.query in
     let degraded = ref false in
-    let show to_string f =
-      match f () with
-      | v -> to_string v
-      | exception Budget.Exhausted r ->
-        degraded := true;
-        Printf.sprintf "exhausted (%s)" (Budget.reason_to_string r)
-    in
+    let show to_string f = show_measure degraded to_string f in
     Printf.printf "query:               %s\n"
       (Core.Parser.to_formula ~names:p.Core.Parser.names q);
     Printf.printf "variables:           %d free, %d quantified\n"
@@ -573,18 +577,25 @@ let parse_kg_query s =
   match Wlcq_kg.Kparser.parse s with Ok p -> p | Error e -> fail_malformed e
 
 let kg_widths_cmd =
-  let run _ () _budget query_str =
+  let run _ () budget query_str =
     guarded @@ fun () ->
     let p = parse_kg_query query_str in
     let q = p.Wlcq_kg.Kparser.query in
+    let degraded = ref false in
+    let show to_string f = show_measure degraded to_string f in
     Printf.printf "query:               %s\n" (Wlcq_kg.Kparser.to_formula p);
     Printf.printf "connected:           %b\n" (Wlcq_kg.Kcq.is_connected q);
-    Printf.printf "counting minimal:    %b\n"
-      (Wlcq_kg.Kcq.is_counting_minimal q);
-    Printf.printf "extension width:     %d\n" (Wlcq_kg.Kcq.extension_width q);
-    Printf.printf "semantic ext. width: %d\n"
-      (Wlcq_kg.Kcq.semantic_extension_width q);
-    Printf.printf "WL-dimension:        %d\n" (Wlcq_kg.Kcq.wl_dimension q)
+    Printf.printf "counting minimal:    %s\n"
+      (show string_of_bool (fun () ->
+           Wlcq_kg.Kcq.is_counting_minimal ~budget q));
+    Printf.printf "extension width:     %s\n"
+      (show string_of_int (fun () -> Wlcq_kg.Kcq.extension_width ~budget q));
+    Printf.printf "semantic ext. width: %s\n"
+      (show string_of_int (fun () ->
+           Wlcq_kg.Kcq.semantic_extension_width ~budget q));
+    Printf.printf "WL-dimension:        %s\n"
+      (show string_of_int (fun () -> Wlcq_kg.Kcq.wl_dimension ~budget q));
+    if !degraded then exit exit_degraded
   in
   let doc =
     "Width measures of a knowledge-graph query, e.g. \"(x, y) := exists z . \

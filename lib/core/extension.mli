@@ -25,6 +25,12 @@ val gamma_graph : Cq.t -> Graph.t
     [0 .. |X|-1] in free-variable order. *)
 val contract : Cq.t -> Graph.t
 
+(** [exact_tw ~budget g] is [tw(g)] for the exact width measures (here
+    and in their knowledge-graph lift): a degraded heuristic bound
+    would be a wrong width, so a tripped [budget] raises instead.
+    @raise Budget.Exhausted when [budget] trips. *)
+val exact_tw : budget:Budget.t -> Graph.t -> int
+
 (** [extension_width q] is [ew(H, X) = tw(Γ(H, X))].  The exact width
     measures reject degraded treewidth bounds: when [budget] trips the
     treewidth search, this {e raises} rather than returning a wrong

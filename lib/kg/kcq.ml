@@ -29,21 +29,22 @@ let pins_of q a =
   let xs = free_vars q in
   Array.to_list (Array.mapi (fun i x -> (x, a.(i))) xs)
 
-let is_answer q g a = Khom.exists ~pins:(pins_of q a) q.graph g
+let is_answer ?budget q g a =
+  Khom.exists ?budget ~pins:(pins_of q a) q.graph g
 
 let count_answers ?(budget = Budget.unlimited) q g =
   let k = num_free q in
   let n = Kgraph.num_vertices g in
   if k = 0 then begin
     Budget.check budget;
-    if Khom.exists q.graph g then 1 else 0
+    if Khom.exists ~budget q.graph g then 1 else 0
   end
   else begin
     let count = ref 0 in
     Wlcq_util.Combinat.iter_tuples n k (fun a ->
         (* one tick per candidate assignment, as in Cq.iter_answers *)
         Budget.tick_check budget;
-        if is_answer q g a then incr count);
+        if is_answer ~budget q g a then incr count);
     !count
   end
 
@@ -84,18 +85,19 @@ let gamma_graph q =
   in
   Ops.add_edges under extra
 
-let extension_width q = Wlcq_treewidth.Exact.treewidth (gamma_graph q)
+let extension_width ?(budget = Budget.unlimited) q =
+  Wlcq_core.Extension.exact_tw ~budget (gamma_graph q)
 
 (* counting-core machinery, mirroring Wlcq_core.Minimize over
    label-preserving knowledge-graph endomorphisms *)
 
 exception Found of int array
 
-let shrinking_raw q =
+let shrinking_raw ~budget q =
   let h = q.graph in
   let n = Kgraph.num_vertices h in
   try
-    Khom.iter h h (fun endo ->
+    Khom.iter ~budget h h (fun endo ->
         let image = Bitset.create n in
         Array.iter (fun v -> Bitset.set image v) endo;
         if Bitset.cardinal image < n then begin
@@ -118,7 +120,8 @@ let fix_free_pointwise q endo =
   let rec go h = if identity_on_free h then h else go (compose endo h) in
   go endo
 
-let is_counting_minimal q = Option.is_none (shrinking_raw q)
+let is_counting_minimal ?(budget = Budget.unlimited) q =
+  Option.is_none (shrinking_raw ~budget q)
 
 let induced_kgraph h members =
   let members = Array.of_list members in
@@ -137,8 +140,8 @@ let induced_kgraph h members =
   in
   (Kgraph.create ~n:(Array.length members) ~vertex_labels ~edges, members)
 
-let rec counting_core q =
-  match Option.map (fix_free_pointwise q) (shrinking_raw q) with
+let rec counting_core ?(budget = Budget.unlimited) q =
+  match Option.map (fix_free_pointwise q) (shrinking_raw ~budget q) with
   | None -> q
   | Some endo ->
     let n = Kgraph.num_vertices q.graph in
@@ -150,16 +153,17 @@ let rec counting_core q =
     let new_free =
       List.map (Hashtbl.find new_of_old) (Bitset.to_list q.free)
     in
-    counting_core (make sub new_free)
+    counting_core ~budget (make sub new_free)
 
-let semantic_extension_width q = extension_width (counting_core q)
+let semantic_extension_width ?(budget = Budget.unlimited) q =
+  extension_width ~budget (counting_core ~budget q)
 
-let wl_dimension q =
+let wl_dimension ?budget q =
   if not (is_connected q) then
     invalid_arg "Kcq.wl_dimension: query must be connected";
   if num_free q = 0 then
     invalid_arg "Kcq.wl_dimension: query must have a free variable";
-  semantic_extension_width q
+  semantic_extension_width ?budget q
 
 let of_cq q =
   let h = Kgraph.of_graph q.Wlcq_core.Cq.graph ~vertex_label:0 ~edge_label:0 in

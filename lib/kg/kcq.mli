@@ -25,11 +25,13 @@ val is_connected : t -> bool
 (** Connectivity of the underlying Gaifman graph. *)
 
 (** [is_answer q g a] tests extendability of the assignment [a]
-    (parallel to [free_vars q]) to a knowledge-graph homomorphism. *)
-val is_answer : t -> Kgraph.t -> int array -> bool
+    (parallel to [free_vars q]) to a knowledge-graph homomorphism.
+    [budget] is ticked per node of the extension search.
+    @raise Budget.Exhausted when [budget] trips. *)
+val is_answer : ?budget:Budget.t -> t -> Kgraph.t -> int array -> bool
 
 (** [count_answers q g] is [|Ans(q, g)|].  [budget] is ticked once per
-    candidate assignment.
+    candidate assignment and per node of each extension search.
     @raise Budget.Exhausted when [budget] trips. *)
 val count_answers : ?budget:Budget.t -> t -> Kgraph.t -> int
 
@@ -38,27 +40,34 @@ val count_answers : ?budget:Budget.t -> t -> Kgraph.t -> int
     adjacent quantified component. *)
 val gamma_graph : t -> Wlcq_graph.Graph.t
 
-(** [extension_width q] is [tw(Γ(H, X))]. *)
-val extension_width : t -> int
+(** [extension_width q] is [tw(Γ(H, X))].  Like
+    {!Wlcq_core.Extension.extension_width}, it has no use for a
+    degraded bound.
+    @raise Budget.Exhausted when [budget] trips. *)
+val extension_width : ?budget:Budget.t -> t -> int
 
 (** [counting_core q] is the counting-minimal representative, computed
     by shrinking with label- and direction-preserving endomorphisms
     that fix [X] pointwise (the Lemma 44 machinery lifted to knowledge
-    graphs). *)
-val counting_core : t -> t
+    graphs).  [budget] is ticked per endomorphism-search node.
+    @raise Budget.Exhausted when [budget] trips. *)
+val counting_core : ?budget:Budget.t -> t -> t
 
 (** [is_counting_minimal q] holds when no shrinking endomorphism
-    exists. *)
-val is_counting_minimal : t -> bool
+    exists.
+    @raise Budget.Exhausted when [budget] trips. *)
+val is_counting_minimal : ?budget:Budget.t -> t -> bool
 
 (** [semantic_extension_width q] is the extension width of the
-    counting core. *)
-val semantic_extension_width : t -> int
+    counting core.
+    @raise Budget.Exhausted when [budget] trips. *)
+val semantic_extension_width : ?budget:Budget.t -> t -> int
 
 (** [wl_dimension q] is the WL-dimension over knowledge graphs: the
     semantic extension width (Theorem 1 as extended by Section 1.3
-    (C)); connected queries with [X ≠ ∅] only. *)
-val wl_dimension : t -> int
+    (C)); connected queries with [X ≠ ∅] only.
+    @raise Budget.Exhausted when [budget] trips. *)
+val wl_dimension : ?budget:Budget.t -> t -> int
 
 (** [of_cq q] encodes a plain-graph query via {!Kgraph.of_graph}
     (vertex label 0, edge label 0). *)

@@ -2,6 +2,8 @@
    underlying connectivity, pruning candidates by vertex label and by
    labelled-edge consistency with already-assigned neighbours. *)
 
+module Budget = Wlcq_robust.Budget
+
 let assignment_order h pins =
   let under = Kgraph.underlying h in
   let n = Kgraph.num_vertices h in
@@ -29,7 +31,7 @@ let assignment_order h pins =
   done;
   Array.of_list (List.rev !order)
 
-let iter ?(pins = []) h g f =
+let iter ?(budget = Budget.unlimited) ?(pins = []) h g f =
   let n = Kgraph.num_vertices h in
   let ng = Kgraph.num_vertices g in
   if n = 0 then f [||]
@@ -62,6 +64,7 @@ let iter ?(pins = []) h g f =
         (Array.init n (fun i -> order.(i)))
     in
     let rec go i =
+      Budget.tick_check budget;
       if i = n then f image
       else begin
         let u = order.(i) in
@@ -96,9 +99,9 @@ let count ?pins h g =
 
 exception Found
 
-let exists ?pins h g =
+let exists ?budget ?pins h g =
   try
-    iter ?pins h g (fun _ -> raise Found);
+    iter ?budget ?pins h g (fun _ -> raise Found);
     false
   with Found -> true
 

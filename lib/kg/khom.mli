@@ -9,13 +9,26 @@
     [g ∘ φ] being a homomorphism whenever [φ] and [g] are.  Mirrors
     {!Wlcq_hom.Brute} (pins included). *)
 
-(** [iter ?pins h g f] applies [f] to every homomorphism from [h] to
-    [g]; the array is reused between calls. *)
+(** [iter ?budget ?pins h g f] applies [f] to every homomorphism from
+    [h] to [g]; the array is reused between calls.  [budget] is ticked
+    once per search node.
+    @raise Wlcq_robust.Budget.Exhausted when [budget] trips. *)
 val iter :
-  ?pins:(int * int) list -> Kgraph.t -> Kgraph.t -> (int array -> unit) -> unit
+  ?budget:Wlcq_robust.Budget.t ->
+  ?pins:(int * int) list ->
+  Kgraph.t ->
+  Kgraph.t ->
+  (int array -> unit) ->
+  unit
 
 val count : ?pins:(int * int) list -> Kgraph.t -> Kgraph.t -> int
-val exists : ?pins:(int * int) list -> Kgraph.t -> Kgraph.t -> bool
+
+val exists :
+  ?budget:Wlcq_robust.Budget.t ->
+  ?pins:(int * int) list ->
+  Kgraph.t ->
+  Kgraph.t ->
+  bool
 
 (** [is_homomorphism h g map] checks labels and labelled edges. *)
 val is_homomorphism : Kgraph.t -> Kgraph.t -> int array -> bool

@@ -10,31 +10,19 @@ let higher_neighbour_sets g order =
   if Array.length order <> n
      || not (Wlcq_util.Perm.is_permutation order) then
     invalid_arg "Elimination.higher_neighbour_sets: order must be a permutation of the vertices";
-  let adj = Array.init n (Graph.neighbours g) in
-  let eliminated = Array.make n false in
-  let sets = Array.make n (Bitset.create n) in
-  (* lint: allow R7 one elimination step per vertex of the pattern
-     graph, polynomial one-shot *)
-  for i = 0 to n - 1 do
-    let v = order.(i) in
-    let remaining = Bitset.fold
-        (fun w acc -> if eliminated.(w) then acc else w :: acc)
-        adj.(v) []
-    in
-    sets.(i) <- Bitset.of_list n remaining;
-    (* connect remaining neighbours into a clique (fill-in) *)
-    List.iter
-      (fun a ->
-         List.iter
-           (fun b ->
-              if a <> b then begin
-                Bitset.set adj.(a) b;
-                Bitset.set adj.(b) a
-              end)
-           remaining)
-      remaining;
-    eliminated.(v) <- true
-  done;
+  let s = Elim_state.of_graph g in
+  let sets =
+    Array.map
+      (fun v ->
+         let higher =
+           Elim_state.fold_live_neighbours
+             (fun w b -> Bitset.set b w; b)
+             s v (Bitset.create n)
+         in
+         Elim_state.eliminate s v;
+         higher)
+      order
+  in
   (order, sets)
 
 let width_of_order g order =

@@ -9,45 +9,29 @@ let m_nodes = Obs.counter "tw.search_nodes"
 let m_pruned = Obs.counter "tw.pruned"
 let m_heuristic_fallbacks = Obs.counter "robust.fallback.tw_heuristic"
 
-module Bitset_tbl = Hashtbl.Make (struct
-    type t = Bitset.t
-
-    let equal = Bitset.equal
-    let hash = Bitset.hash
-  end)
+module E = Elim_state
+module Words_tbl = Wlcq_util.Ordering.Int_array_tbl
 
 (* ------------------------------------------------------------------ *)
 (* Branch and bound over elimination orders.                           *)
 (* ------------------------------------------------------------------ *)
 
-let live_neighbours adj alive v =
-  Bitset.fold (fun w acc -> if alive.(w) then w :: acc else acc) adj.(v) []
-
-let is_simplicial adj alive v =
-  let neigh = live_neighbours adj alive v in
-  let rec all_pairs = function
-    | [] -> true
-    | a :: rest ->
-      List.for_all (fun b -> Bitset.mem adj.(a) b) rest && all_pairs rest
-  in
-  all_pairs neigh
-
-(* Search for an order of width < best.  State is copied per branch;
-   the memo table maps the eliminated set to the smallest running
-   maximum with which it has been reached. *)
+(* Search for an order of width < best.  Each child gets its own copy
+   of the flat state; the memo maps the eliminated set (keyed by its
+   complement, the live words) to the smallest running maximum with
+   which it has been reached. *)
 let branch_and_bound ~budget g initial_ub initial_order =
-  let n = Graph.num_vertices g in
   let best = ref initial_ub in
   let best_order = ref initial_order in
-  let memo : int Bitset_tbl.t = Bitset_tbl.create 1024 in
+  let memo : int Words_tbl.t = Words_tbl.create 1024 in
   (* search statistics, accumulated locally and flushed once *)
   let nodes_visited = ref 0 in
   let pruned = ref 0 in
-  let rec go adj alive eliminated prefix current_max remaining =
+  let rec go s prefix current_max remaining =
     (* a full poll per node, not one per tick interval: a node copies
-       the adjacency and scans for simplicial vertices, so the clock
-       read is noise, while 1024 nodes can outlast a 1 ms deadline by
-       tens of milliseconds on dense 26-vertex inputs *)
+       the state and scans for simplicial vertices, so the clock read
+       is noise, while 1024 nodes can outlast a 1 ms deadline on dense
+       inputs *)
     Budget.check budget;
     incr nodes_visited;
     if current_max >= !best then incr pruned
@@ -57,65 +41,46 @@ let branch_and_bound ~budget g initial_ub initial_order =
     end
     else if remaining - 1 <= current_max then begin
       (* finishing in any order costs at most remaining-1 <= current *)
-      let rest = List.filter (fun v -> alive.(v)) (Graph.vertices g) in
       best := current_max;
-      best_order := List.rev_append prefix rest
+      best_order := List.rev_append prefix (E.live_list s)
     end
     else begin
-      match Bitset_tbl.find_opt memo eliminated with
+      let key = E.live_words s in
+      match Words_tbl.find_opt memo key with
       | Some m when m <= current_max -> incr pruned
       | _ ->
-        Bitset_tbl.replace memo eliminated current_max;
+        Words_tbl.replace memo key current_max;
+        let n = s.E.n in
+        let branch v cost =
+          if max current_max cost < !best then begin
+            let s' = E.copy s in
+            E.eliminate s' v;
+            go s' (v :: prefix) (max current_max cost) (remaining - 1)
+          end
+        in
         (* Simplicial vertices of low degree are always safe to
            eliminate first. *)
-        let simplicial =
-          List.find_opt
-            (fun v ->
-               alive.(v)
-               && Bitset.cardinal
-                    (Bitset.of_list n (live_neighbours adj alive v))
-                  < !best
-               && is_simplicial adj alive v)
-            (Graph.vertices g)
-        in
-        let candidates =
-          match simplicial with
-          | Some v -> [ v ]
-          | None ->
-            let live = List.filter (fun v -> alive.(v)) (Graph.vertices g) in
-            List.sort
-              (fun a b ->
-                 Int.compare
-                   (List.length (live_neighbours adj alive a))
-                   (List.length (live_neighbours adj alive b)))
-              live
-        in
-        List.iter
-          (fun v ->
-             let neigh = live_neighbours adj alive v in
-             let cost = List.length neigh in
-             if max current_max cost < !best then begin
-               let adj' = Array.map Bitset.copy adj in
-               List.iter
-                 (fun a ->
-                    List.iter
-                      (fun b ->
-                         if a <> b then begin
-                           Bitset.set adj'.(a) b;
-                           Bitset.set adj'.(b) a
-                         end)
-                      neigh)
-                 neigh;
-               let alive' = Array.copy alive in
-               alive'.(v) <- false;
-               go adj' alive' (Bitset.add eliminated v) (v :: prefix)
-                 (max current_max cost) (remaining - 1)
-             end)
-          candidates
+        let simplicial = ref (-1) and v = ref 0 in
+        while !simplicial < 0 && !v < n do
+          if E.is_live s !v && E.degree s !v < !best
+             && E.is_simplicial s !v
+          then simplicial := !v;
+          incr v
+        done;
+        if !simplicial >= 0 then branch !simplicial (E.degree s !simplicial)
+        else begin
+          (* live vertices by degree, ties by vertex id: each packed
+             as degree * n + vertex *)
+          let cands = Array.make remaining 0 in
+          ignore
+            (E.fold_live
+               (fun u k -> cands.(k) <- (E.degree s u * n) + u; k + 1)
+               s 0);
+          Array.sort Int.compare cands;
+          Array.iter (fun c -> branch (c mod n) (c / n)) cands
+        end
     end
   in
-  let adj = Array.init n (Graph.neighbours g) in
-  let alive = Array.make n true in
   let flush () =
     if Obs.enabled () then begin
       Obs.add m_nodes !nodes_visited;
@@ -124,7 +89,8 @@ let branch_and_bound ~budget g initial_ub initial_order =
   in
   (* flush the search statistics even when the budget unwinds the
      search with Budget.Exhausted *)
-  Fun.protect ~finally:flush (fun () -> go adj alive (Bitset.create n) [] 0 n);
+  Fun.protect ~finally:flush (fun () ->
+      go (E.of_graph g) [] 0 (Graph.num_vertices g));
   (!best, !best_order)
 
 (* Shared solver core: returns the best width/order found plus, when
@@ -137,13 +103,7 @@ let solve_with ~budget g =
   if n = 0 then (-1, [], None)
   else Obs.span "tw.solve" @@ fun () ->
     if Obs.enabled () then Obs.incr m_solves;
-    let order_md = Heuristics.min_degree_order g in
-    let order_mf = Heuristics.min_fill_order g in
-    let w_md = Elimination.width_of_order g order_md in
-    let w_mf = Elimination.width_of_order g order_mf in
-    let ub, ub_order =
-      if w_mf <= w_md then (w_mf, order_mf) else (w_md, order_md)
-    in
+    let ub, ub_order = Heuristics.upper_bound_order g in
     let lb = Heuristics.lower_bound g in
     if lb >= ub then (ub, ub_order, None)
     else begin
@@ -168,8 +128,6 @@ let solve g =
 let treewidth g = fst (solve g)
 let optimal_order g = snd (solve g)
 
-(* lint: allow R8 Invalid_argument is permutation validation on an
-   internally built order — an invariant check, not a budget outcome *)
 let treewidth_budgeted ~budget g =
   Obs.entry_point "tw.treewidth" @@ fun () ->
   match solve_with ~budget g with

@@ -5,7 +5,10 @@
     sound because the filled graph after eliminating a set of vertices
     is independent of the elimination order within the set.  It is
     bracketed by the greedy upper bounds and the contraction lower
-    bound of {!Heuristics}.
+    bound of {!Heuristics}, and searches on the same flat-word
+    elimination state they use (adjacency rows of ⌈n/62⌉ words; one
+    array copy per search node).  The search polls its budget on
+    every node and counts its nodes in [tw.search_nodes].
 
     A Held–Karp-style subset dynamic program ({!treewidth_dp}) is
     provided as an independent implementation for cross-validation

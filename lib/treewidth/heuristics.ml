@@ -1,74 +1,41 @@
 open Wlcq_graph
-module Bitset = Wlcq_util.Bitset
+module E = Elim_state
 
-(* Greedy elimination with a scoring function over the current (filled)
-   adjacency. *)
-let greedy_order score g =
-  let n = Graph.num_vertices g in
-  let adj = Array.init n (Graph.neighbours g) in
-  let alive = Array.make n true in
-  let order = ref [] in
-  (* lint: allow R7 polynomial O(n^2) greedy heuristic on the pattern
-     graph: one vertex eliminated per iteration *)
-  for _ = 1 to n do
+(* Greedy elimination: always eliminate the first live vertex of least
+   [score] over the current (filled) graph.  Returns the width reached
+   (the largest degree at elimination) and the order. *)
+let greedy score g =
+  let s = E.of_graph g in
+  let n = s.E.n in
+  let order = Array.make n 0 in
+  let width = ref (-1) in
+  (* lint: allow R7 polynomial greedy pass on the pattern graph: one
+     vertex eliminated per iteration, one scan of the live vertices *)
+  for k = 0 to n - 1 do
     let best = ref (-1) in
     let best_score = ref max_int in
     for v = 0 to n - 1 do
-      if alive.(v) then begin
-        let s = score adj alive v in
-        if s < !best_score then begin
+      if E.is_live s v then begin
+        let sc = score s v in
+        if sc < !best_score then begin
           best := v;
-          best_score := s
+          best_score := sc
         end
       end
     done;
     let v = !best in
-    let neigh =
-      Bitset.fold (fun w acc -> if alive.(w) then w :: acc else acc) adj.(v) []
-    in
-    List.iter
-      (fun a ->
-         List.iter
-           (fun b ->
-              if a <> b then begin
-                Bitset.set adj.(a) b;
-                Bitset.set adj.(b) a
-              end)
-           neigh)
-      neigh;
-    alive.(v) <- false;
-    order := v :: !order
+    width := max !width (E.degree s v);
+    E.eliminate s v;
+    order.(k) <- v
   done;
-  List.rev !order
+  (!width, Array.to_list order)
 
-let live_degree adj alive v =
-  Bitset.fold (fun w acc -> if alive.(w) then acc + 1 else acc) adj.(v) 0
+let upper_bound_order g =
+  let ((w_md, _) as md) = greedy E.degree g in
+  let ((w_mf, _) as mf) = greedy E.fill_count g in
+  if w_mf <= w_md then mf else md
 
-let min_degree_order g = greedy_order live_degree g
-
-let fill_count adj alive v =
-  let neigh =
-    Bitset.fold (fun w acc -> if alive.(w) then w :: acc else acc) adj.(v) []
-  in
-  let missing = ref 0 in
-  (* lint: allow R7 quadratic pair walk over one live neighbourhood *)
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      List.iter (fun b -> if not (Bitset.mem adj.(a) b) then incr missing) rest;
-      pairs rest
-  in
-  pairs neigh;
-  !missing
-
-let min_fill_order g = greedy_order fill_count g
-
-let upper_bound g =
-  if Graph.num_vertices g = 0 then -1
-  else
-    min
-      (Elimination.width_of_order g (min_degree_order g))
-      (Elimination.width_of_order g (min_fill_order g))
+let upper_bound g = fst (upper_bound_order g)
 
 (* MMD+ lower bound: repeatedly contract a minimum-degree vertex into
    its lowest-degree neighbour; the running maximum of minimum degrees
@@ -78,51 +45,32 @@ let lower_bound g =
   let n = Graph.num_vertices g in
   if n = 0 then -1
   else begin
-    let adj = Array.init n (Graph.neighbours g) in
-    let alive = Array.make n true in
-    let alive_count = ref n in
+    let s = E.of_graph g in
     let bound = ref 0 in
     (* lint: allow R7 each iteration removes one live vertex, so at
        most n iterations of polynomial work *)
-    while !alive_count > 1 do
-      (* minimum-degree live vertex *)
-      let v = ref (-1) in
-      let vd = ref max_int in
-      (* lint: allow R7 linear minimum-degree scan *)
-      for u = 0 to n - 1 do
-        if alive.(u) then begin
-          let d = live_degree adj alive u in
-          if d < !vd then (v := u; vd := d)
-        end
-      done;
-      bound := max !bound !vd;
-      if !vd = 0 then begin
-        alive.(!v) <- false;
-        decr alive_count
+    for _ = 2 to n do
+      (* first live vertex of minimum degree *)
+      let v, vd =
+        E.fold_live
+          (fun u ((_, bd) as acc) ->
+             let d = E.degree s u in
+             if d < bd then (u, d) else acc)
+          s (-1, max_int)
+      in
+      bound := max !bound vd;
+      if vd > 0 then begin
+        (* its first live neighbour of minimum degree *)
+        let w, _ =
+          E.fold_live_neighbours
+            (fun u ((_, bd) as acc) ->
+               let d = E.degree s u in
+               if d < bd then (u, d) else acc)
+            s v (-1, max_int)
+        in
+        E.contract s v w
       end
-      else begin
-        (* contract v into its minimum-degree live neighbour *)
-        let w = ref (-1) in
-        let wd = ref max_int in
-        Bitset.iter
-          (fun u ->
-             if alive.(u) then begin
-               let d = live_degree adj alive u in
-               if d < !wd then (w := u; wd := d)
-             end)
-          adj.(!v);
-        let w = !w in
-        Bitset.iter
-          (fun u ->
-             if alive.(u) && u <> w then begin
-               Bitset.set adj.(w) u;
-               Bitset.set adj.(u) w
-             end)
-          adj.(!v);
-        Bitset.clear adj.(w) !v;
-        alive.(!v) <- false;
-        decr alive_count
-      end
+      else E.kill s v
     done;
     !bound
   end

@@ -4,15 +4,14 @@
 
 open Wlcq_graph
 
-(** [min_degree_order g] is the greedy order that always eliminates a
-    vertex of minimum current degree. *)
-val min_degree_order : Graph.t -> int list
+(** [upper_bound_order g] is the better of the two greedy elimination
+    orders — always eliminate a vertex of minimum current degree
+    (min-degree), or one whose elimination adds the fewest fill edges
+    (min-fill) — with the width it reaches.  Min-fill wins ties.
+    [(-1, [])] for the empty graph. *)
+val upper_bound_order : Graph.t -> int * int list
 
-(** [min_fill_order g] is the greedy order that always eliminates a
-    vertex whose elimination creates the fewest fill edges. *)
-val min_fill_order : Graph.t -> int list
-
-(** [upper_bound g] is the best width over the greedy orders. *)
+(** [upper_bound g] is the width of {!upper_bound_order}. *)
 val upper_bound : Graph.t -> int
 
 (** [lower_bound g] is a treewidth lower bound: the maximum, over the

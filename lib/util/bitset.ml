@@ -97,10 +97,14 @@ let compare a b =
   let c = Stdlib.compare a.n b.n in
   if c <> 0 then c else Stdlib.compare a.words b.words
 
+(* SWAR popcount of one word: pair, nibble and byte sums.  A word has
+   at most 62 bits set, so the byte total fits the top byte that the
+   63-bit multiply keeps. *)
 let popcount w =
-  (* lint: allow R7 at most one iteration per set bit of one word *)
-  let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-  go 0 w
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 

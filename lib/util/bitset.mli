@@ -8,6 +8,15 @@
 
 type t
 
+(** Members per backing word: member [i] is bit [i mod bits_per_word]
+    of word [i / bits_per_word].  Code that keeps its own flat word
+    arrays uses the same layout. *)
+val bits_per_word : int
+
+(** [popcount w] is the number of set bits of one backing word
+    ([0 <= w < 2^bits_per_word]). *)
+val popcount : int -> int
+
 (** [create n] is the empty set over universe [0 .. n-1]. *)
 val create : int -> t
 

@@ -130,6 +130,25 @@ let contains needle s =
   in
   go 0
 
+(* kg-widths: a 7-leaf star has 7^7 endomorphisms to rule out before
+   it is known to be counting minimal, about a second of search; a
+   1 ms deadline must stop it with every exact measure reported as
+   exhausted *)
+let test_kg_widths_budget () =
+  let leaves = List.init 7 (fun i -> Printf.sprintf "x%d" (i + 1)) in
+  let star =
+    Printf.sprintf "\"(%s) := exists z . %s\"" (String.concat ", " leaves)
+      (String.concat " & "
+         (List.map (fun x -> Printf.sprintf "knows(%s, z)" x) leaves))
+  in
+  let code, out = run_stdout ("kg-widths " ^ star ^ " --deadline-ms 1") in
+  Alcotest.(check int) "kg-widths under 1 ms: exit code" 3 code;
+  Alcotest.(check bool) "kg-widths under 1 ms: names the trip" true
+    (contains "exhausted (deadline)" out);
+  check_code "kg-widths with slack deadline" 0
+    "kg-widths \"(x, y) := exists z . knows(x, z) & knows(z, y)\" \
+     --deadline-ms 10000"
+
 let with_tmp suffix f =
   let file = Filename.temp_file "wlcq_test" suffix in
   Fun.protect
@@ -415,6 +434,8 @@ let () =
           Alcotest.test_case "negative verdict" `Quick test_negative_verdict;
           Alcotest.test_case "malformed input" `Quick test_malformed_inputs;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
+          Alcotest.test_case "kg-widths honours its budget" `Quick
+            test_kg_widths_budget;
         ] );
       ( "ans",
         [

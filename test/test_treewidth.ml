@@ -3,6 +3,7 @@ open Wlcq_treewidth
 module Nice = Wlcq_oracle.Nice
 module Prng = Wlcq_util.Prng
 module Bitset = Wlcq_util.Bitset
+module Obs = Wlcq_obs.Obs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -108,6 +109,47 @@ let test_disconnected () =
   check_bool "disconnected decomposition valid" true
     (Decomposition.is_valid_for d g)
 
+let search_nodes = Obs.counter "tw.search_nodes"
+
+(* [nodes_of f] is the number of branch-and-bound nodes visited while
+   running [f]: on most small draws the heuristic bracket is already
+   tight and the search never starts. *)
+let nodes_of f =
+  Obs.set_enabled true;
+  let before = Obs.counter_value search_nodes in
+  f ();
+  Obs.counter_value search_nodes - before
+
+(* More than 62 vertices, so every adjacency row spans two words: 56
+   isolated vertices, then a G(14, 0.4) core the branch and bound has
+   to search (lb < ub).  The core's vertices 56..69 straddle the word
+   boundary at 62.  Every pass eliminates the isolated vertices first
+   (degree 0, lowest ids) and must then retrace its one-word run on
+   the core alone: the same greedy order, the same MMD+ bound, and the
+   same search after one forced node per isolated vertex. *)
+let test_wide_rows () =
+  let core = Gen.gnp (Prng.create 2) 14 0.4 in
+  let lb = Heuristics.lower_bound core in
+  let ub, order = Heuristics.upper_bound_order core in
+  check_bool "the core's bracket is open" true (lb < ub);
+  let core_nodes = nodes_of (fun () -> ignore (Exact.treewidth core)) in
+  let g = Ops.disjoint_union (Graph.empty 56) core in
+  check_int "70 vertices" 70 (Graph.num_vertices g);
+  let ub_g, order_g = Heuristics.upper_bound_order g in
+  check_int "greedy width" ub ub_g;
+  Alcotest.(check (list int)) "greedy order"
+    (List.init 56 Fun.id @ List.map (( + ) 56) order)
+    order_g;
+  check_int "MMD+ bound" lb (Heuristics.lower_bound g);
+  let w = ref (-1) in
+  check_int "search nodes" (core_nodes + 56)
+    (nodes_of (fun () -> w := Exact.treewidth g));
+  check_int "tw is the core's" (Exact.treewidth_dp core) !w;
+  let d = Exact.optimal_decomposition g in
+  check_bool "optimal decomposition valid" true
+    (Decomposition.is_valid_for d g);
+  check_int "optimal decomposition tight" !w (Decomposition.width d)
+
 let test_nice_structure () =
   List.iter
     (fun (name, g, expected) ->
@@ -139,23 +181,25 @@ let nice_qcheck =
          Nice.is_valid_for nd g && Nice.width nd = Decomposition.width d);
   ]
 
+(* the two differentials of the branch and bound, on G(n, 0.4) *)
+let bb_agrees_with_dp (n, seed) =
+  let g = Gen.gnp (Prng.create seed) n 0.4 in
+  Exact.treewidth g = Exact.treewidth_dp g
+
+let decomposition_valid_and_tight (n, seed) =
+  let g = Gen.gnp (Prng.create seed) n 0.4 in
+  let d = Exact.optimal_decomposition g in
+  Decomposition.is_valid_for d g && Decomposition.width d = Exact.treewidth g
+
 let treewidth_qcheck =
   [
     QCheck.Test.make ~name:"bb agrees with subset dp" ~count:40
       QCheck.(pair (int_range 1 9) (int_bound 100000))
-      (fun (n, seed) ->
-         let rng = Prng.create seed in
-         let g = Gen.gnp rng n 0.4 in
-         Exact.treewidth g = Exact.treewidth_dp g);
+      bb_agrees_with_dp;
     QCheck.Test.make ~name:"optimal decomposition is valid and tight"
       ~count:40
       QCheck.(pair (int_range 1 9) (int_bound 100000))
-      (fun (n, seed) ->
-         let rng = Prng.create seed in
-         let g = Gen.gnp rng n 0.4 in
-         let d = Exact.optimal_decomposition g in
-         Decomposition.is_valid_for d g
-         && Decomposition.width d = Exact.treewidth g);
+      decomposition_valid_and_tight;
     QCheck.Test.make ~name:"treewidth of trees is at most 1" ~count:40
       QCheck.(pair (int_range 2 20) (int_bound 100000))
       (fun (n, seed) ->
@@ -192,9 +236,29 @@ let treewidth_qcheck =
          Exact.treewidth (Ops.remove_vertex g v) <= Exact.treewidth g);
   ]
 
+(* The two differentials on n = 10..14, where the bracket is open
+   often enough for the branch and bound to run: lb < ub on about 5% of
+   G(10, 0.4) draws and 55% at n = 14.  (At n <= 9 it almost never
+   is.) *)
+let search_qcheck =
+  [
+    QCheck.Test.make ~name:"bb agrees with subset dp, n = 10..14" ~count:40
+      QCheck.(pair (int_range 10 14) (int_bound 100000))
+      bb_agrees_with_dp;
+    QCheck.Test.make
+      ~name:"optimal decomposition is valid and tight, n = 10..14" ~count:40
+      QCheck.(pair (int_range 10 14) (int_bound 100000))
+      decomposition_valid_and_tight;
+  ]
+
 let () =
   let qsuite name tests =
     (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+  in
+  (* a property run that must also have searched *)
+  let searching t =
+    let name, speed, run = QCheck_alcotest.to_alcotest ~long:false t in
+    (name, speed, fun () -> check_bool "the search ran" true (nodes_of run > 0))
   in
   Alcotest.run "wlcq_treewidth"
     [
@@ -207,6 +271,7 @@ let () =
             test_optimal_decomposition_valid;
           Alcotest.test_case "is_at_most" `Quick test_is_at_most;
           Alcotest.test_case "disconnected" `Quick test_disconnected;
+          Alcotest.test_case "rows wider than one word" `Quick test_wide_rows;
         ] );
       ( "heuristics",
         [ Alcotest.test_case "bracket" `Quick test_heuristics_bracket ] );
@@ -225,4 +290,5 @@ let () =
         ] );
       qsuite "nice-properties" nice_qcheck;
       qsuite "properties" treewidth_qcheck;
+      ("search-properties", List.map searching search_qcheck);
     ]

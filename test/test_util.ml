@@ -87,6 +87,15 @@ let bitset_qcheck =
          let a = Bitset.of_list 100 xs and b = Bitset.of_list 100 ys in
          Bitset.cardinal (Bitset.union a b) + Bitset.cardinal (Bitset.inter a b)
          = Bitset.cardinal a + Bitset.cardinal b);
+    (* the word popcount against a member walk, on sparse sets and on
+       their dense complements *)
+    QCheck.Test.make ~name:"bitset cardinal counts members" ~count:200
+      gen_list
+      (fun xs ->
+         let a = Bitset.of_list 100 xs in
+         let c = Bitset.complement a in
+         Bitset.cardinal a = List.length (Bitset.to_list a)
+         && Bitset.cardinal c = List.length (Bitset.to_list c));
   ]
 
 (* ------------------------------------------------------------------ *)
