@@ -290,5 +290,5 @@ let () =
         ] );
       qsuite "nice-properties" nice_qcheck;
       qsuite "properties" treewidth_qcheck;
-      ("search-properties", List.map searching search_qcheck);
+      ("bb-properties", List.map searching search_qcheck);
     ]
