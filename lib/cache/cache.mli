@@ -67,6 +67,13 @@ val stats : unit -> stats
     copies no longer collide ([cache.canon_fallback] counts these). *)
 val address : Wlcq_graph.Graph.t -> string * Wlcq_util.Perm.t
 
+(** [structural_address g] is the as-labelled address of [g]: a digest
+    of its vertex count and edge list, with no canonical labelling.
+    Only identically labelled copies share it.  It is the address
+    {!address} falls back to, and costs about a microsecond on a
+    pattern-sized graph where canonical labelling costs tens. *)
+val structural_address : Wlcq_graph.Graph.t -> string
+
 (** [save_file path] writes a warm-start snapshot of every entry whose
     store is registered; returns the number of entries written. *)
 val save_file : string -> (int, string) result

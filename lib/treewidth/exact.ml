@@ -93,33 +93,42 @@ let branch_and_bound ~budget g initial_ub initial_order =
       go (E.of_graph g) [] 0 (Graph.num_vertices g));
   (!best, !best_order)
 
-(* Shared solver core: returns the best width/order found plus, when
-   the budget tripped mid-search, the trip reason.  On a trip the
-   returned pair is the heuristic bracket (a sound upper bound), which
-   was computed before the branch and bound started — the degradation
-   ladder's first rung is free. *)
-let solve_with ~budget g =
-  let n = Graph.num_vertices g in
-  if n = 0 then (-1, [], None)
-  else Obs.span "tw.solve" @@ fun () ->
-    if Obs.enabled () then Obs.incr m_solves;
-    let ub, ub_order = Heuristics.upper_bound_order g in
-    let lb = Heuristics.lower_bound g in
-    if lb >= ub then (ub, ub_order, None)
-    else begin
-      (* the BB improves on ub+1 (i.e., finds width <= ub) or keeps it *)
-      match branch_and_bound ~budget g (ub + 1) ub_order with
-      | w, order when w <= ub -> (w, order, None)
-      | _ -> (ub, ub_order, None)
-      | exception Budget.Exhausted r ->
-        Obs.incr m_heuristic_fallbacks;
-        Obs.journal ~severity:Obs.Warn
-          ~attrs:
-            [ ("reason", Budget.reason_to_string r);
-              ("upper_bound", string_of_int ub) ]
-          "tw.heuristic_fallback";
-        (ub, ub_order, Some r)
-    end
+(* The heuristic bracket of [g]: the better greedy order with the
+   width it reaches, and the MMD+ lower bound.  When the bounds meet,
+   the greedy order is optimal and there is nothing to search. *)
+type bracket = { ub : int; ub_order : int list; lb : int }
+
+let bracket g =
+  let ub, ub_order = Heuristics.upper_bound_order g in
+  { ub; ub_order; lb = Heuristics.lower_bound g }
+
+let is_closed b = b.lb >= b.ub
+
+(* Shared solver core: closes the bracket [b] of [g] by branch and
+   bound and returns the best width/order found plus, when the budget
+   tripped mid-search, the trip reason.  On a trip the returned pair is
+   the bracket's upper bound, computed before the search started — the
+   degradation ladder's first rung is free. *)
+let solve_from ~budget g b =
+  Obs.span "tw.solve" @@ fun () ->
+  if Obs.enabled () then Obs.incr m_solves;
+  if is_closed b then (b.ub, b.ub_order, None)
+  else begin
+    (* the BB improves on ub+1 (i.e., finds width <= ub) or keeps it *)
+    match branch_and_bound ~budget g (b.ub + 1) b.ub_order with
+    | w, order when w <= b.ub -> (w, order, None)
+    | _ -> (b.ub, b.ub_order, None)
+    | exception Budget.Exhausted r ->
+      Obs.incr m_heuristic_fallbacks;
+      Obs.journal ~severity:Obs.Warn
+        ~attrs:
+          [ ("reason", Budget.reason_to_string r);
+            ("upper_bound", string_of_int b.ub) ]
+        "tw.heuristic_fallback";
+      (b.ub, b.ub_order, Some r)
+  end
+
+let solve_with ~budget g = solve_from ~budget g (bracket g)
 
 let solve g =
   let w, order, _ = solve_with ~budget:Budget.unlimited g in
@@ -150,11 +159,18 @@ let decomposition_words (d : Decomposition.t) =
 
 (* Pattern graphs are tiny and recur heavily (every interpolation step
    re-counts against the same extension family), so decompositions are
-   worth caching.  Entries live in the shared content-addressed tier:
-   the key is the canonical-form digest, so isomorphic resubmissions
-   hit even when relabelled, and the stored decomposition is the
-   canonical graph's — translated to and from caller vertex ids via
-   the canonicalising permutation. *)
+   worth caching in the shared content-addressed tier.  Two kinds of
+   key, by what a recomputation costs:
+   - a graph whose heuristic bracket closes is answered by its greedy
+     order in microseconds, less than canonical labelling costs, so it
+     is stored under its as-labelled structural address: identical
+     resubmissions hit, relabelled copies recompute;
+   - a graph that takes a search is stored under its canonical address,
+     so isomorphic resubmissions hit even when relabelled; the stored
+     decomposition is the canonical graph's, translated to and from
+     caller vertex ids via the canonicalising permutation.
+   Every lookup tries the structural address first, so a hit never
+   pays for the bracket. *)
 let decomposition_store =
   Cache.store ~name:"tw.decomposition" ~words:decomposition_words ()
 
@@ -162,36 +178,46 @@ let decomposition_store =
    an internally built tree — an invariant check, not a budget outcome *)
 let optimal_decomposition_budgeted ~budget g =
   Obs.entry_point "tw.decomposition" @@ fun () ->
-  let solve_plain () =
-    let _, order, tripped = solve_with ~budget g in
+  let solve b =
+    let _, order, tripped = solve_from ~budget g b in
     let d = Elimination.decomposition_of_order g order in
-    (d, tripped)
+    match tripped with
+    | None -> `Exact d
+    | Some cause -> Outcome.degraded ~cause ~fallback:"Heuristics order" d
+  in
+  let hit d =
+    if Obs.enabled () then Obs.incr m_memo_hits;
+    `Exact d
+  in
+  (* only proven-optimal decompositions may enter the tier *)
+  let solve_and_add b addr to_addr =
+    if Obs.enabled () then Obs.incr m_memo_misses;
+    match solve b with
+    | `Exact d as r ->
+      Cache.add decomposition_store addr (to_addr d);
+      r
+    | r -> r
   in
   (* budgeted runs may READ the tier: a warm daemon answering a
      deadline-bound request should profit from results an unlimited
      (or earlier budgeted) run proved exact.  Only writes stay
-     exact-only — the [d, None] arm below — so a degraded decomposition
-     never enters the tier. *)
-  if not (Cache.enabled ()) then begin
-    match solve_plain () with
-    | d, None -> `Exact d
-    | d, Some cause -> Outcome.degraded ~cause ~fallback:"Heuristics order" d
-  end
+     exact-only, so a degraded decomposition never enters the tier. *)
+  if not (Cache.enabled ()) then solve (bracket g)
   else begin
-    let addr, perm = Cache.address g in
-    match Cache.find decomposition_store addr with
-    | Some dc ->
-      if Obs.enabled () then Obs.incr m_memo_hits;
-      `Exact (Decomposition.relabel dc (Wlcq_util.Perm.inverse perm))
+    let key = Cache.structural_address g in
+    match Cache.find decomposition_store key with
+    | Some d -> hit d
     | None ->
-      if Obs.enabled () then Obs.incr m_memo_misses;
-      (match solve_plain () with
-       | d, None ->
-         (* only proven-optimal decompositions may enter the tier *)
-         Cache.add decomposition_store addr (Decomposition.relabel d perm);
-         `Exact d
-       | d, Some cause ->
-         Outcome.degraded ~cause ~fallback:"Heuristics order" d)
+      let b = bracket g in
+      if is_closed b then solve_and_add b key Fun.id
+      else begin
+        let addr, perm = Cache.address g in
+        match Cache.find decomposition_store addr with
+        | Some dc ->
+          hit (Decomposition.relabel dc (Wlcq_util.Perm.inverse perm))
+        | None ->
+          solve_and_add b addr (fun d -> Decomposition.relabel d perm)
+      end
   end
 
 let optimal_decomposition g =

@@ -43,10 +43,13 @@ val optimal_decomposition_budgeted :
 val optimal_order : Graph.t -> int list
 
 (** [optimal_decomposition g] is a minimum-width tree decomposition.
-    Memoised in the content-addressed cache tier ({!Wlcq_cache.Cache},
-    keyed by canonical form; [Cache.clear ()] empties it), since the
-    interpolation pipeline re-decomposes the same small patterns many
-    times. *)
+    Memoised in the content-addressed cache tier ({!Wlcq_cache.Cache};
+    [Cache.clear ()] empties it), since the interpolation pipeline
+    re-decomposes the same small patterns many times.  When the
+    branch and bound runs the key is the canonical form, so relabelled
+    copies hit; when the heuristic bracket closes, the greedy order is
+    cheaper to recompute than to canonically address, and the key is
+    the graph as labelled. *)
 val optimal_decomposition : Graph.t -> Decomposition.t
 
 (** [is_at_most g k] decides [treewidth g <= k]. *)

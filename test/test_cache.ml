@@ -18,6 +18,7 @@ open Wlcq_graph
 module Cache = Wlcq_cache.Cache
 module Exact = Wlcq_treewidth.Exact
 module Decomposition = Wlcq_treewidth.Decomposition
+module Heuristics = Wlcq_treewidth.Heuristics
 module Td_count = Wlcq_hom.Td_count
 module Cq = Wlcq_core.Cq
 module Parser = Wlcq_core.Parser
@@ -52,6 +53,17 @@ let reset_tier () =
 
 (* byte-identical comparison for structured artifacts *)
 let marshal v = Marshal.to_string v []
+
+(* Only a graph whose exact decomposition takes a search is stored
+   under its canonical address, so only its relabelled copies hit: when
+   the heuristic bracket closes, the greedy order is cheaper to
+   recompute than to canonically address, and the entry is keyed as
+   labelled.  The tests of canonical hits therefore draw G(n, p) from
+   [rng] until the bracket is open. *)
+let rec open_gnp rng n p =
+  let g = Gen.gnp rng n p in
+  if Heuristics.lower_bound g < Heuristics.upper_bound g then g
+  else open_gnp rng n p
 
 (* ------------------------------------------------------------------ *)
 (* Canonical forms                                                     *)
@@ -157,7 +169,7 @@ let test_differential_count () =
 
 let test_differential_decomposition () =
   reset_tier ();
-  let g = Gen.gnp (Prng.create 12) 13 0.35 in
+  let g = open_gnp (Prng.create 12) 13 0.35 in
   let cold, wm, wh =
     cold_warm_warm (fun () -> Exact.optimal_decomposition g)
   in
@@ -184,7 +196,7 @@ let test_differential_kwl_verdicts () =
 
 let test_permuted_resubmission_hits () =
   reset_tier ();
-  let g = Gen.gnp (Prng.create 21) 13 0.35 in
+  let g = open_gnp (Prng.create 21) 13 0.35 in
   let d = Exact.optimal_decomposition g in
   let hits0 = counter_value "cache.hit" in
   let p = rand_perm (Prng.create 22) (Graph.num_vertices g) in
@@ -202,17 +214,54 @@ let qcheck_permuted_hit =
   QCheck.Test.make ~count:30
     ~name:"permuted-isomorphic resubmission hits the tier" gen_instance
     (fun (seed, n, pseed) ->
-       QCheck.assume (n >= 2);
+       (* 13..16 vertices: at most 12 the bracket almost always
+          closes *)
+       let n = 13 + (n mod 4) in
        reset_tier ();
-       let g = Gen.gnp (Prng.create (41 + seed)) n 0.35 in
+       let g = open_gnp (Prng.create (41 + seed)) n 0.35 in
        let d = Exact.optimal_decomposition g in
        let hits0 = counter_value "cache.hit" in
        let p = rand_perm (Prng.create (43 + pseed)) n in
        let g' = Ops.relabel g p in
        let d' = Exact.optimal_decomposition g' in
-       counter_value "cache.hit" > hits0
+       (* the greedy orders break ties by vertex id, so the copy's own
+          bracket may close (about 1 draw in 7): it is then keyed as
+          labelled, and misses *)
+       let copy_open =
+         Heuristics.lower_bound g' < Heuristics.upper_bound g'
+       in
+       Bool.equal (counter_value "cache.hit" > hits0) copy_open
        && Decomposition.is_valid_for d' g'
        && Decomposition.width d' = Decomposition.width d)
+
+(* a closed bracket's decomposition is keyed on the graph as labelled,
+   without canonical labelling: an identical resubmission hits, while a
+   relabelled copy whose bracket also closes misses and is recomputed *)
+let test_closed_bracket_keys_as_labelled () =
+  reset_tier ();
+  let closed g = Heuristics.lower_bound g >= Heuristics.upper_bound g in
+  let g = Gen.gnp (Prng.create 21) 13 0.35 in
+  Alcotest.(check bool) "bracket closed" true (closed g);
+  let hits () = counter_value "tw.decomp_memo_hits"
+  and misses () = counter_value "tw.decomp_memo_misses" in
+  let misses0 = misses () in
+  let d = Exact.optimal_decomposition g in
+  Alcotest.(check int) "first call misses" (misses0 + 1) (misses ());
+  let hits0 = hits () in
+  let d' = Exact.optimal_decomposition g in
+  Alcotest.(check int) "identical resubmission hits" (hits0 + 1) (hits ());
+  Alcotest.(check string) "hit is byte-identical" (marshal d) (marshal d');
+  Alcotest.(check bool) "valid" true (Decomposition.is_valid_for d g);
+  Alcotest.(check int) "optimal" (Exact.treewidth_dp g)
+    (Decomposition.width d);
+  let g' = Ops.relabel g (rand_perm (Prng.create 22) 13) in
+  Alcotest.(check bool) "copy's bracket closed" true (closed g');
+  let misses0 = misses () in
+  let d'' = Exact.optimal_decomposition g' in
+  Alcotest.(check int) "relabelled copy misses" (misses0 + 1) (misses ());
+  Alcotest.(check bool) "copy valid" true (Decomposition.is_valid_for d'' g');
+  Alcotest.(check int) "copy optimal" (Decomposition.width d)
+    (Decomposition.width d'')
 
 (* ------------------------------------------------------------------ *)
 (* Eviction under pressure                                             *)
@@ -347,7 +396,7 @@ let test_degraded_never_written () =
 
 let test_save_load_roundtrip () =
   reset_tier ();
-  let g = Gen.gnp (Prng.create 33) 13 0.35 in
+  let g = open_gnp (Prng.create 33) 13 0.35 in
   let d = Exact.optimal_decomposition g in
   let path = Filename.temp_file "wlcq_cache" ".snap" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -400,6 +449,8 @@ let () =
           Alcotest.test_case "permuted resubmission hits" `Quick
             test_permuted_resubmission_hits;
           QCheck_alcotest.to_alcotest qcheck_permuted_hit;
+          Alcotest.test_case "closed brackets key on labels" `Quick
+            test_closed_bracket_keys_as_labelled;
           Alcotest.test_case "budgeted runs read a warm tier" `Quick
             test_budgeted_run_reads_warm_cache;
           Alcotest.test_case "degraded results are never written" `Quick
