@@ -935,7 +935,7 @@ let f5 () =
          Bigint.equal)
     [ 10; 20; 40 ];
   (* the other regressed row: answer enumeration vs auto, which now
-     routes this tiny instance to the tabulating enumeration kernel *)
+     routes this tiny instance to the projection-row kernel *)
   let gq = G.Builders.grid 3 4 in
   let q3 = Gen_query.quantified_path 2 in
   speedup_row ~min_speedup:1.0 ~series:"F5" "enum-vs-fast/qpath2" 12
@@ -1382,6 +1382,48 @@ let f9 () =
 (* change (see DESIGN.md, "Adaptive engine dispatch").                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [qpath k]: x0 - y0 - x1 - ... - y(k-2) - x(k-1), consecutive free
+   variables joined through one quantified vertex (sew = 2). *)
+let qpath k =
+  let atoms =
+    List.init (k - 1) (fun i ->
+        Printf.sprintf "E(x%d, y%d) & E(y%d, x%d)" i i i (i + 1))
+  in
+  parse
+    (Printf.sprintf "(%s) := exists %s . %s"
+       (String.concat ", " (List.init k (Printf.sprintf "x%d")))
+       (String.concat " " (List.init (k - 1) (Printf.sprintf "y%d")))
+       (String.concat " & " atoms))
+
+(* Answer-counting shapes on hosts from sparse to dense, each small
+   enough for both engines: the calibration ladder.  The tail holds
+   the shapes whose join outgrows the DP. *)
+let answer_ladder () =
+  let full_path k = Cq.make (G.Builders.path k) (List.init k Fun.id) in
+  let queries =
+    [ ("star2", Star.query 2); ("star3", Star.query 3);
+      ("path2", Gen_query.quantified_path 2); ("qpath3", qpath 3);
+      ("qpath4", qpath 4); ("full-path4", full_path 4) ]
+  in
+  let rng = Prng.create 43 in
+  let hosts =
+    [ ("grid3x4", G.Builders.grid 3 4); ("cycle40", G.Builders.cycle 40);
+      ("gnp16,0.3", G.Gen.gnp rng 16 0.3); ("gnp24,0.5", G.Gen.gnp rng 24 0.5);
+      ("gnp32,0.2", G.Gen.gnp rng 32 0.2); ("clique20", G.Builders.clique 20) ]
+  in
+  List.concat_map
+    (fun (qn, q) -> List.map (fun (gn, g) -> (qn ^ "->" ^ gn, q, g)) hosts)
+    queries
+  @ [ ("qpath4->clique32", qpath 4, G.Builders.clique 32);
+      ("qpath5->clique24", qpath 5, G.Builders.clique 24);
+      ("qpath5->gnp32,0.5", qpath 5, G.Gen.gnp rng 32 0.5);
+      ("qpath5->cycle40", qpath 5, G.Builders.cycle 40);
+      ("qpath6->clique16", qpath 6, G.Builders.clique 16);
+      ("full-path5->clique24", full_path 5, G.Builders.clique 24);
+      ("full-path5->gnp32,0.5", full_path 5, G.Gen.gnp rng 32 0.5);
+      ("full-path6->gnp20,0.3", full_path 6, G.Gen.gnp rng 20 0.3);
+      ("star4->gnp16,0.5", Star.query 4, G.Gen.gnp rng 16 0.5) ]
+
 let calibrate () =
   header "calibrate" "measure engine crossovers for the dispatch cost model";
   let reps = 60 in
@@ -1413,33 +1455,58 @@ let calibrate () =
          cost (tb *. 1e3) (tp *. 1e3)
          (if tb < tp then "brute" else "packed"))
     [ 4; 6; 8; 10; 14; 20; 28 ];
-  (* answer engines along a grid ladder: the enumeration cutoff is the
-     largest ng^|X| at which the tabulating kernel still wins *)
-  Printf.printf "\n%-18s %12s %12s %12s %8s\n" "ans instance" "ng^|X|"
-    "t_enum" "t_packed" "winner";
-  let q = Gen_query.quantified_path 2 in
-  let enum_max = ref 0 in
-  List.iter
-    (fun (r, c) ->
-       let g = G.Builders.grid r c in
-       let ng = G.Graph.num_vertices g in
-       let space = Dispatch.sat_pow ng 2 in
-       let te = timed Steer.brute (fun () -> ignore (Fast_count.count_answers q g)) in
-       let tp = timed Steer.packed (fun () -> ignore (Fast_count.count_answers q g)) in
-       if te < tp then enum_max := max !enum_max space;
-       Printf.printf "%-18s %12d %10.2f ms %10.2f ms %8s\n"
-         (Printf.sprintf "qpath2->grid%dx%d" r c)
-         space (te *. 1e3) (tp *. 1e3)
-         (if te < tp then "enum" else "packed"))
-    [ (2, 3); (3, 3); (3, 4); (4, 5); (5, 6); (6, 8) ];
+  (* answer engines on a ladder of shapes and hosts: the kernel's
+     predicted work per DP work unit ({!Dispatch.answer_costs}) against
+     which engine won.  The suggested [enum_answers_max] is the ratio
+     cutoff that loses the least time over the ladder. *)
+  Printf.printf "\n%-24s %10s %10s %8s %12s %12s %8s\n" "ans instance"
+    "kernel" "dp" "ratio" "t_kernel" "t_packed" "winner";
+  let rows =
+    List.map
+      (fun (name, q, g) ->
+         let count () = ignore (Fast_count.count_answers q g) in
+         (* per call, over as many repetitions as fit ~20 ms (at most
+            [reps]) *)
+         let per_call c =
+           Steer.with_calibration c (fun () ->
+               let t1 = snd (wall_time count) in
+               let r =
+                 max 1 (min reps (int_of_float (0.02 /. Float.max t1 1e-6)))
+               in
+               snd (wall_time_best (fun () -> for _ = 1 to r do count () done))
+               /. float_of_int r)
+         in
+         let tk = per_call Steer.brute and tp = per_call Steer.packed in
+         let kernel, dp = Fast_count.answer_costs q g in
+         let ratio = float_of_int kernel /. float_of_int (max 1 dp) in
+         Printf.printf "%-24s %10d %10d %8.2f %9.3f ms %9.3f ms %8s\n" name
+           kernel dp ratio (tk *. 1e3) (tp *. 1e3)
+           (if tk < tp then "kernel" else "packed");
+         (ratio, tk, tp))
+      (answer_ladder ())
+  in
+  (* the time a cutoff loses against always picking the faster engine *)
+  let lost cut =
+    List.fold_left
+      (fun acc (r, tk, tp) ->
+         acc +. (if r <= cut then tk else tp) -. Float.min tk tp)
+      0.0 rows
+  in
+  let enum_max =
+    List.fold_left
+      (fun best (r, _, _) -> if lost r < lost best then r else best)
+      0.0 rows
+  in
+  Printf.printf "time lost at the suggested cutoff: %.3f ms\n"
+    (lost enum_max *. 1e3);
   let c = Dispatch.default_calibration in
   Printf.printf
     "\nsuggested calibration (measured crossovers, compiled-in defaults \
      in parentheses):\n";
   Printf.printf "  brute_hom_max    = %d  (%d)\n" !brute_max
     c.Dispatch.brute_hom_max;
-  Printf.printf "  enum_answers_max = %d  (%d)\n" !enum_max
-    c.Dispatch.enum_answers_max;
+  Printf.printf "  enum_answers_max = %d  (%d)\n"
+    (int_of_float (Float.ceil enum_max)) c.Dispatch.enum_answers_max;
   Printf.printf
     "  prune_min_work / dp_parallel_min / wl_parallel_min / wl_chunk / \
      dense_key_bits: retime with F4/F2 workloads; current %d / %d / %d / \
@@ -1591,40 +1658,41 @@ let f3 () =
   header "F3"
     "answer counting cost: bounded-sew family vs star family (Cor. 4 shape)";
   let g = G.Builders.grid 3 4 in
+  (* a dense host on the same 12 vertices: every k-tuple of K12 has a
+     common neighbour, so |Ans(star k)| = 12^k and the star family's
+     n^k is the size of the answer set itself *)
+  let dense = G.Builders.clique 12 in
+  let count q g = Bigint.to_string (Fast_count.count_answers q g) in
   (* bounded family: quantified paths between two free endpoints,
      sew = 2 for every length *)
   let quant_path = Gen_query.quantified_path in
-  Printf.printf "%-22s %-6s %-9s\n" "query" "sew" "|Ans| on grid3x4";
+  Printf.printf "%-22s %-6s %-16s %-12s\n" "query" "sew" "|Ans| on grid3x4"
+    "|Ans| on K12";
+  let show name q =
+    Printf.printf "%-22s %-6d %-16s %-12s\n" name
+      (Extension.semantic_extension_width q) (count q g) (count q dense)
+  in
   List.iter
-    (fun len ->
-       let q = quant_path len in
-       Printf.printf "%-22s %-6d %-9d\n"
-         (Printf.sprintf "quant-path len %d" len)
-         (Extension.semantic_extension_width q)
-         (Cq.count_answers q g))
+    (fun len -> show (Printf.sprintf "quant-path len %d" len) (quant_path len))
     [ 1; 2; 3; 4 ];
-  List.iter
-    (fun k ->
-       let q = Star.query k in
-       Printf.printf "%-22s %-6d %-9d\n"
-         (Printf.sprintf "star %d" k)
-         (Extension.semantic_extension_width q)
-         (Cq.count_answers q g))
+  List.iter (fun k -> show (Printf.sprintf "star %d" k) (Star.query k))
     [ 1; 2; 3; 4 ];
+  (* every row times the shipped counter, Fast_count, whichever engine
+     dispatch picks for it *)
+  let row name q g =
+    Bechamel.Test.make ~name
+      (Bechamel.Staged.stage (fun () -> ignore (Fast_count.count_answers q g)))
+  in
   let tests =
     List.map
       (fun len ->
-         let q = quant_path len in
-         Bechamel.Test.make
-           ~name:(Printf.sprintf "bounded-sew/quant-path%d" len)
-           (Bechamel.Staged.stage (fun () -> ignore (Cq.count_answers q g))))
+         row (Printf.sprintf "bounded-sew/quant-path%d" len) (quant_path len) g)
       [ 1; 2; 3; 4 ]
-    @ List.map
+    @ List.concat_map
       (fun k ->
-         let q = Star.query k in
-         Bechamel.Test.make
-           ~name:(Printf.sprintf "unbounded-sew/star%d" k)
-           (Bechamel.Staged.stage (fun () -> ignore (Cq.count_answers q g))))
+         [ row (Printf.sprintf "unbounded-sew/star%d" k) (Star.query k) g;
+           row (Printf.sprintf "unbounded-sew/star%d-K12" k) (Star.query k)
+             dense ])
       [ 1; 2; 3; 4 ]
   in
   run_timing "F3-answer-counting" tests;

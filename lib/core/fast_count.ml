@@ -44,21 +44,80 @@ let target_support g =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Enumeration kernel for small instances.                             *)
+(* Projection-row kernel.                                              *)
 (*                                                                     *)
-(* When ng^|X| and every component sweep Hom(H[C ∪ δ], G) are small,   *)
-(* the contract/decomposition/Dp_key machinery of the packed engine    *)
-(* below costs more than the whole count.  This kernel tabulates each  *)
-(* attached component's satisfiable δ-assignments into a flat byte     *)
-(* table with ONE homomorphism enumeration per component, then counts  *)
-(* free assignments by direct backtracking with early edge pruning —   *)
-(* no decomposition, no packed tables, no arc consistency.  Each free  *)
-(* assignment is visited once, in a fixed order, and only complete     *)
-(* answers are counted, so [total] is a sound lower bound on           *)
-(* |Ans(q, g)| whenever the budget unwinds the search.                 *)
+(* Per attached quantified component C, with x_last the last variable *)
+(* of its attachment δ in free-variable order, one Brute.iter sweep    *)
+(* over Hom(H[C ∪ δ] − x_last, G) ORs the images x_last may then take, *)
+(* ⋂_{u ∈ N_H(x_last)} N_G(φ(u)), into a row keyed by φ's images of    *)
+(* δ − x_last.  A row is ⌈ng/62⌉ words in Bitset's layout and only     *)
+(* keys with a non-empty row are stored, so a table is as large as the *)
+(* projection of Hom onto δ, not ng^|δ|.  The join backtracks over the *)
+(* free positions in order: a position's candidates are the AND of the *)
+(* rows of the components ending there (looked up under the images    *)
+(* already assigned; a missing key means none) and of the adjacency    *)
+(* rows of its assigned H[X] neighbours — all of V(G) when it has      *)
+(* neither — and the last position adds its popcount.  [total] only    *)
+(* grows by complete answers, so it is a sound lower bound whenever    *)
+(* the budget unwinds the search.                                      *)
 (* ------------------------------------------------------------------ *)
 
-let count_answers_enum ~budget ~total q g components =
+(* [and_words dst d src s nw] ANDs the [nw] words of [src] at [s] into
+   [dst] at [d]. *)
+let and_words dst d src s nw =
+  for w = 0 to nw - 1 do
+    dst.(d + w) <- dst.(d + w) land src.(s + w)
+  done
+
+(* One component's rows, keyed by the images of δ − x_last read as a
+   base-ng number; [key_pos] are those variables' free positions.  The
+   dispatch routes here only while ng^(|X|-1) is below [sat_cap], so
+   every code fits an int, and so does [total] <= ng^|X|. *)
+type rows = { key_pos : int array; table : int array Int_tbl.t }
+
+let component_rows ~budget ~nw ~adj h g pos_of (members, attached) =
+  let ng = Graph.num_vertices g in
+  (* [attached] is sorted, and free positions follow vertex order *)
+  let last = List.fold_left max min_int attached in
+  let key_vars = List.filter (fun x -> not (Int.equal x last)) attached in
+  let sub, back = Ops.induced h (List.sort_uniq Int.compare (members @ key_vars)) in
+  let sub_of = Int_tbl.create 8 in
+  Array.iteri (fun i v -> Int_tbl.replace sub_of v i) back;
+  let key_sub = Array.of_list (List.map (Int_tbl.find sub_of) key_vars) in
+  (* non-empty: x_last is attached to C *)
+  let nbrs =
+    Array.of_list
+      (List.filter_map (Int_tbl.find_opt sub_of) (Graph.neighbours_list h last))
+  in
+  let table = Int_tbl.create 64 in
+  let acc = Array.make nw 0 in
+  Wlcq_hom.Brute.iter ~budget sub g (fun phi ->
+      Array.blit adj (phi.(nbrs.(0)) * nw) acc 0 nw;
+      (* lint: allow R7 one row AND per neighbour of x_last, per
+         homomorphism; Brute.iter polls once per search node *)
+      for i = 1 to Array.length nbrs - 1 do
+        and_words acc 0 adj (phi.(nbrs.(i)) * nw) nw
+      done;
+      if Array.fold_left ( lor ) 0 acc <> 0 then begin
+        let code = ref 0 in
+        for i = 0 to Array.length key_sub - 1 do
+          code := (!code * ng) + phi.(key_sub.(i))
+        done;
+        let row =
+          match Int_tbl.find table !code with
+          | row -> row
+          | exception Not_found ->
+            let row = Array.make nw 0 in
+            Int_tbl.add table !code row;
+            row
+        in
+        for w = 0 to nw - 1 do
+          row.(w) <- row.(w) lor acc.(w)
+        done
+      end);
+  (last, { key_pos = Array.of_list (List.map (Int_tbl.find pos_of) key_vars); table })
+
+let count_answers_rows ~budget ~total q g components =
   let h = q.Cq.graph in
   let n = Graph.num_vertices g in
   let xs = Cq.free_vars q in
@@ -67,76 +126,69 @@ let count_answers_enum ~budget ~total q g components =
   Array.iteri (fun p x -> Int_tbl.replace pos_of x p) xs;
   Obs.span "fast_count.run_enum" @@ fun () ->
     if Obs.enabled () then Obs.incr m_runs;
-    (* per attached component: scope positions in X plus a membership
-       check on their images, tabulated by one Brute.iter sweep.  The
-       table has ng^|δ| entries with δ ⊆ X, and the dispatch decision
-       that routed here bounded ng^|X| by enum_answers_max, so each
-       table fits. *)
-    let comp_checks =
-      List.filter_map
-        (fun (members, attached) ->
-           if List.is_empty attached then None
-           else begin
-             let vertices = List.sort_uniq Int.compare (members @ attached) in
-             let sub, back = Ops.induced h vertices in
-             let sub_pos = Int_tbl.create 8 in
-             Array.iteri (fun i v -> Int_tbl.replace sub_pos v i) back;
-             let attach_sub =
-               Array.of_list (List.map (Int_tbl.find sub_pos) attached)
-             in
-             let da = Array.length attach_sub in
-             let scope =
-               Array.of_list (List.map (Int_tbl.find pos_of) attached)
-             in
-             let tbl = Bytes.make (Dispatch.sat_pow n da) '\000' in
-             Wlcq_hom.Brute.iter ~budget sub g (fun m ->
-                 let code = ref 0 in
-                 for i = 0 to da - 1 do
-                   code := (!code * n) + m.(attach_sub.(i))
-                 done;
-                 (* lint: allow R2 code < n^da = |tbl| by construction *)
-                 Bytes.unsafe_set tbl !code '\001');
-             let holds images =
-               let code = ref 0 in
-               for i = 0 to da - 1 do
-                 code := (!code * n) + images.(scope.(i))
-               done;
-               (* lint: allow R2 code < n^da = |tbl| by construction *)
-               Bytes.unsafe_get tbl !code = '\001'
-             in
-             let last = Array.fold_left max 0 scope in
-             Some (last, holds)
-           end)
-        components
-    in
-    (* H[X] edge checks fire as soon as their later endpoint is
-       assigned; component checks as soon as their whole scope is. *)
+    let bpw = Bitset.bits_per_word in
+    let nw = (n + bpw - 1) / bpw in
+    let adj = Graph.adjacency_words g in
+    let rows_at = Array.make k [] in
+    List.iter
+      (fun ((_, attached) as c) ->
+         if not (List.is_empty attached) then begin
+           let last, rows = component_rows ~budget ~nw ~adj h g pos_of c in
+           let p = Int_tbl.find pos_of last in
+           rows_at.(p) <- rows :: rows_at.(p)
+         end)
+      components;
+    let rows_at = Array.map Array.of_list rows_at in
+    (* H[X] edges, each at its later endpoint *)
     let edges_at = Array.make k [] in
     Graph.iter_edges h (fun u v ->
         match (Int_tbl.find_opt pos_of u, Int_tbl.find_opt pos_of v) with
         | Some a, Some b ->
-          let lo = min a b and hi = max a b in
-          edges_at.(hi) <- lo :: edges_at.(hi)
+          edges_at.(max a b) <- min a b :: edges_at.(max a b)
         | _ -> ());
-    let checks_at = Array.make k [] in
-    List.iter
-      (fun (last, holds) -> checks_at.(last) <- holds :: checks_at.(last))
-      comp_checks;
+    let edges_at = Array.map Array.of_list edges_at in
+    let full =
+      Array.init nw (fun w -> (1 lsl min bpw (n - (w * bpw))) - 1)
+    in
+    (* position i's candidate words live at [i * nw] *)
+    let cand = Array.make (k * nw) 0 in
     let images = Array.make k 0 in
     let rec go i =
-      if i = k then incr total
-      else begin
-        Budget.tick_check budget;
-        for v = 0 to n - 1 do
-          images.(i) <- v;
-          if
-            (* enumeration engine: dispatch caps total work at
-               enum_answers_max, so the per-step closures below are inside
-               the cost the model already charged *)
-            List.for_all (fun j -> Graph.adjacent g images.(j) v) edges_at.(i) (* lint: hot-alloc dispatch-capped enumeration, see above *)
-            && List.for_all (fun holds -> holds images) checks_at.(i)
-          then go (i + 1)
-        done
+      Budget.tick_check budget;
+      let base = i * nw in
+      Array.blit full 0 cand base nw;
+      let comps = rows_at.(i) in
+      let live = ref true and c = ref 0 in
+      while !live && !c < Array.length comps do
+        let { key_pos; table } = comps.(!c) in
+        let code = ref 0 in
+        for j = 0 to Array.length key_pos - 1 do
+          code := (!code * n) + images.(key_pos.(j))
+        done;
+        (match Int_tbl.find table !code with
+         | row -> and_words cand base row 0 nw
+         | exception Not_found -> live := false);
+        incr c
+      done;
+      if !live then begin
+        let earlier = edges_at.(i) in
+        for e = 0 to Array.length earlier - 1 do
+          and_words cand base adj (images.(earlier.(e)) * nw) nw
+        done;
+        if i = k - 1 then
+          for w = 0 to nw - 1 do
+            total := !total + Bitset.popcount cand.(base + w)
+          done
+        else
+          for w = 0 to nw - 1 do
+            let x = ref cand.(base + w) in
+            while !x <> 0 do
+              let b = !x land - !x in
+              images.(i) <- (w * bpw) + Bitset.popcount (b - 1);
+              go (i + 1);
+              x := !x lxor b
+            done
+          done
       end
     in
     go 0;
@@ -393,6 +445,27 @@ let count_answers_packed ~budget q g components =
 (* the budget trips; the packed DP never writes it.                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The dispatch features of [q]: the (|C|, |δ_C|) of each attached
+   quantified component, and the edge count of H[X]. *)
+let features q components =
+  let comps =
+    List.filter_map
+      (fun (members, attached) ->
+         if List.is_empty attached then None
+         else Some (List.length members, List.length attached))
+      components
+  in
+  let free_edges = ref 0 in
+  Graph.iter_edges q.Cq.graph (fun u v ->
+      if Bitset.mem q.Cq.free u && Bitset.mem q.Cq.free v then
+        incr free_edges);
+  (comps, !free_edges)
+
+let answer_costs q g =
+  let comps, free_edges = features q (Extension.quantified_components q) in
+  Dispatch.answer_costs ~nx:(Cq.num_free q) ~free_edges ~comps
+    ~ng:(Graph.num_vertices g) ~mg:(Graph.num_edges g)
+
 let count ~budget ~total q g =
   let h = q.Cq.graph in
   let n = Graph.num_vertices g in
@@ -414,17 +487,12 @@ let count ~budget ~total q g =
   else if k = 0 then
     if Wlcq_hom.Brute.exists ~budget h g then Bigint.one else Bigint.zero
   else begin
-    let max_comp =
-      List.fold_left
-        (fun acc (members, attached) ->
-           if List.is_empty attached then acc
-           else max acc (List.length members + List.length attached))
-        0 components
-    in
+    let comps, free_edges = features q components in
     match
-      Dispatch.choose_answers ~nx:k ~max_comp ~ng:n ~mg:(Graph.num_edges g)
+      Dispatch.choose_answers ~nx:k ~free_edges ~comps ~ng:n
+        ~mg:(Graph.num_edges g)
     with
-    | Dispatch.Ans_enum -> count_answers_enum ~budget ~total q g components
+    | Dispatch.Ans_enum -> count_answers_rows ~budget ~total q g components
     | Dispatch.Ans_packed -> count_answers_packed ~budget q g components
   end
 
@@ -432,7 +500,7 @@ let count_answers ?(budget = Budget.unlimited) q g =
   count ~budget ~total:(ref 0) q g
 
 (* the partial is the kernel's running total at the trip (a sound
-   lower bound, see [count_answers_enum]); a DP table cut off mid-run
+   lower bound, see [count_answers_rows]); a DP table cut off mid-run
    admits no sound reading, so a packed run reports 0 *)
 (* lint: allow R8 the reachable Failure and Invalid_argument raises are
    internal-invariant checks (decomposition coverage, DP key arity):

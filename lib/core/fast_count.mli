@@ -19,9 +19,12 @@
 
     The total cost is [|V(G)|^{O(ew)}] — polynomial for fixed
     extension width, in contrast to the [|V(G)|^{|X|}] enumeration
-    route in {!Cq}.  Both are cross-validated in the test suite
-    (against each other and against the original list-keyed DP, kept
-    there as the oracle) and compared in bench series F3.
+    route in {!Cq}.  Where [ew] is large (stars: treewidth 1 but
+    [sew = k]) the projection-row kernel below counts in time that
+    follows the projections of the component homomorphisms instead.
+    All routes are cross-validated in the test suite (against each
+    other and against the original list-keyed DP, kept there as the
+    oracle) and compared in bench series F3.
 
     This module is the one way the CLI, the daemon and the library
     count the answers of a CQ; the enumeration route stays as the
@@ -35,23 +38,42 @@ module Outcome = Wlcq_robust.Outcome
 (** [count_answers q g] is [|Ans(q, g)|] as a {!Wlcq_util.Bigint}
     (unlike enumeration, the DP can exceed native range).
 
-    Runs on packed-key tables ([Wlcq_hom.Dp_key]) with the
-    {!Wlcq_util.Count} int63 fast path; the bag enumeration is
-    restricted to per-position candidate sets (target support, unary
-    component predicates, arc consistency over the [H[X]] edges) with
-    constraints checked as soon as their scope is assigned, and each
-    constraint lives in the smallest bag covering its scope.
-    [budget] is ticked per bag-enumeration node.
+    {!Wlcq_dispatch.Dispatch.choose_answers} picks one of two engines
+    by their predicted work:
+    - the projection-row kernel.  For each quantified component [C],
+      with [x_last] the last variable of [δ_C] in {!Cq.free_vars}
+      order, one sweep over [Hom(H[C ∪ δ_C] − x_last, G)] ORs
+      [⋂_{u ∈ N_H(x_last)} N_G(φ(u))] into a row of [⌈|V(G)|/62⌉]
+      words keyed by [φ]'s images of [δ_C − x_last]; only keys that
+      occur are stored, so the table is as large as the projection.
+      A join then backtracks over the free positions in order: each
+      position's candidates are the AND of the rows of the components
+      ending there and the adjacency rows of its assigned [H[X]]
+      neighbours (all of [V(G)] with neither), and the last position
+      adds its popcount.  [budget] is ticked per sweep and join node.
+    - the packed component DP, on packed-key tables
+      ([Wlcq_hom.Dp_key]) with the {!Wlcq_util.Count} int63 fast
+      path; the bag enumeration is restricted to per-position
+      candidate sets (target support, unary component predicates, arc
+      consistency over the [H[X]] edges) with constraints checked as
+      soon as their scope is assigned, and each constraint lives in
+      the smallest bag covering its scope.  [budget] is ticked per
+      bag-enumeration node.
     @raise Budget.Exhausted when [budget] trips. *)
 val count_answers : ?budget:Budget.t -> Cq.t -> Graph.t -> Wlcq_util.Bigint.t
 
+(** [answer_costs q g] is {!Wlcq_dispatch.Dispatch.answer_costs} on
+    the features of [q] and [g]: the predicted work of the two engines
+    {!count_answers} chooses between, [(kernel, dp)]. *)
+val answer_costs : Cq.t -> Graph.t -> int * int
+
 (** Non-raising variant: [`Exhausted (partial, r)] carries a sound
     lower bound on [|Ans(q, g)|].  When the dispatch routed the count
-    to the enumeration kernel, [partial] is the kernel's running total
-    at the trip (it visits each free assignment once, in a fixed
-    order, and counts only complete answers); when the packed DP ran,
-    [partial] is [0], since a DP table cut off mid-run admits no sound
-    reading.  Bumps [robust.fallback.fast_exhausted]. *)
+    to the projection-row kernel, [partial] is the kernel's running
+    total at the trip (its join visits each free-assignment prefix
+    once, in a fixed order, and adds only complete answers); when the
+    packed DP ran, [partial] is [0], since a DP table cut off mid-run
+    admits no sound reading.  Bumps [robust.fallback.fast_exhausted]. *)
 val count_answers_budgeted :
   budget:Budget.t -> Cq.t -> Graph.t ->
   (Wlcq_util.Bigint.t, Wlcq_util.Bigint.t * Budget.reason) Outcome.t

@@ -24,7 +24,7 @@ let default_calibration =
        the dense width carry over the engines' historical values *)
     brute_hom_max = 256;
     prune_min_work = 512;
-    enum_answers_max = 1 lsl 15;
+    enum_answers_max = 50;
     dp_parallel_min = 1 lsl 15;
     wl_parallel_min = 1 lsl 15;
     wl_chunk = 256;
@@ -64,6 +64,8 @@ let sat_mul a b =
   if a = 0 || b = 0 then 0
   else if a > sat_cap / b then sat_cap
   else a * b
+
+let sat_add a b = min sat_cap (a + b)
 
 let brute_cost ~nh ~ng ~mg =
   if nh <= 0 then 1
@@ -134,19 +136,34 @@ let prune_candidates ~work =
 
 type ans_choice = Ans_enum | Ans_packed
 
-let choose_answers ~nx ~max_comp ~ng ~mg =
-  let lim = !table.enum_answers_max in
-  (* the kernel's work: the free-assignment search (ng^nx leaves) plus
-     one Hom(H[C ∪ δ], G) sweep per component, whose tables have only
-     ng^|δ| <= ng^nx entries *)
-  if sat_pow ng nx <= lim && brute_cost ~nh:max_comp ~ng ~mg <= lim then begin
+let answer_costs ~nx ~free_edges ~comps ~ng ~mg =
+  (* the kernel: one sweep over Hom(H[C ∪ δ] − x_last, G) per
+     component, then a join of at most ng^(nx-1) row ANDs.  The DP: a
+     bag enumeration of at least ng^|scope| assignments per constraint
+     (a free variable alone is a scope), each component's carrying one
+     pinned search *)
+  List.fold_left
+    (fun (kernel, dp) (c, a) ->
+       ( sat_add kernel (brute_cost ~nh:(c + a - 1) ~ng ~mg),
+         sat_add dp (sat_pow ng a) ))
+    (sat_pow ng (nx - 1), sat_add (sat_mul nx ng) (sat_mul free_edges (sat_pow ng 2)))
+    comps
+
+let choose_answers ~nx ~free_edges ~comps ~ng ~mg =
+  let kernel, dp = answer_costs ~nx ~free_edges ~comps ~ng ~mg in
+  (* saturated work is no estimate: that tie goes to the DP, the only
+     route for answer sets past native range *)
+  if kernel < sat_cap && kernel <= sat_mul dp !table.enum_answers_max
+  then begin
     Wlcq_obs.Obs.incr c_ans_enum;
-    note "ans_enum" [ ("nx", string_of_int nx); ("ng", string_of_int ng) ];
+    note "ans_enum"
+      [ ("kernel", string_of_int kernel); ("dp", string_of_int dp) ];
     Ans_enum
   end
   else begin
     Wlcq_obs.Obs.incr c_hom_packed;
-    note "ans_packed" [ ("nx", string_of_int nx); ("ng", string_of_int ng) ];
+    note "ans_packed"
+      [ ("kernel", string_of_int kernel); ("dp", string_of_int dp) ];
     Ans_packed
   end
 

@@ -45,9 +45,10 @@ type calibration = {
           estimated DP work (Σ_bags ng^arity) is at least this; below
           it the fixpoint costs more than the pruning saves *)
   enum_answers_max : int;
-      (** answer counting: use the direct enumeration kernel when both
-          ng^|X| and the {!brute_cost} of the largest component sweep
-          [Hom(H[C ∪ δ], G)] are at most this *)
+      (** answer counting: run the projection-row kernel while its
+          predicted work is at most this many steps per work unit of
+          the packed DP (see {!answer_costs}); a DP unit, one pinned
+          component search, costs about this many kernel steps *)
   dp_parallel_min : int;
       (** Σ_bags ng^arity at which the treewidth DP fans independent
           root subtrees out to worker domains *)
@@ -111,16 +112,32 @@ val prune_candidates : work:int -> bool
 
 type ans_choice = Ans_enum | Ans_packed
 
-(** [choose_answers ~nx ~max_comp ~ng ~mg]: engine for one
-    [|Ans(q, g)|] count.  [nx] is the free-variable count, [max_comp]
-    the largest [|C_i| + |δ_i|] over quantified components, [mg] the
-    edge count of the target.  [Ans_enum] when both [ng^nx] and
-    [brute_cost ~nh:max_comp ~ng ~mg] are within [enum_answers_max]:
-    the enumeration kernel backtracks over the [ng^nx] free
-    assignments and sweeps [Hom(H[C_i ∪ δ_i], G)] once per component
-    into a table of [ng^|δ_i|] entries, [δ_i ⊆ X] (so steer it with a
-    value the instances can afford). *)
-val choose_answers : nx:int -> max_comp:int -> ng:int -> mg:int -> ans_choice
+(** [answer_costs ~nx ~free_edges ~comps ~ng ~mg] is [(kernel, dp)],
+    the predicted work of the two answer-counting routes.  [nx] is the
+    free-variable count, [free_edges] the edge count of [H[X]], [comps]
+    the [(|C|, |δ_C|)] of each quantified component with a non-empty
+    attachment, [mg] the edge count of the target.
+    - [kernel] is the projection-row kernel's: one sweep over
+      [Hom(H[C ∪ δ_C] − x_last, G)] per component,
+      [brute_cost ~nh:(|C| + |δ_C| − 1)], plus a join of at most
+      [ng^(nx−1)] row ANDs.
+    - [dp] counts the packed DP's work units: the [ng^|δ_C|]
+      assignments of each component's attachment, each a pinned
+      component search, plus [ng^2] per [H[X]] edge and [ng] per
+      free variable. *)
+val answer_costs :
+  nx:int -> free_edges:int -> comps:(int * int) list -> ng:int -> mg:int ->
+  int * int
+
+(** [choose_answers ~nx ~free_edges ~comps ~ng ~mg]: engine for one
+    [|Ans(q, g)|] count, from {!answer_costs}.  [Ans_enum] (the
+    projection-row kernel) when [kernel] is at most [dp] times
+    [enum_answers_max] and has not saturated at {!sat_cap}; [Ans_packed]
+    otherwise, so the DP keeps the answer sets whose join no estimate
+    can bound. *)
+val choose_answers :
+  nx:int -> free_edges:int -> comps:(int * int) list -> ng:int -> mg:int ->
+  ans_choice
 
 (** [dp_domains ~requested ~subtrees ~work ~threshold]: worker-domain
     count for the treewidth DP's root-subtree fan-out.  [threshold]

@@ -31,6 +31,20 @@ let neighbours_list g v = Bitset.to_list g.adj.(v)
 let iter_neighbours g v f = Bitset.iter f g.adj.(v)
 let fold_neighbours g v f init = Bitset.fold f g.adj.(v) init
 
+let adjacency_words ?(spare_rows = 0) g =
+  let bpw = Bitset.bits_per_word in
+  let nw = (g.n + bpw - 1) / bpw in
+  let words = Array.make ((g.n + spare_rows) * nw) 0 in
+  (* lint: allow R7 one pass over the edges *)
+  for v = 0 to g.n - 1 do
+    Bitset.iter
+      (fun u ->
+         let k = (v * nw) + (u / bpw) in
+         words.(k) <- words.(k) lor (1 lsl (u mod bpw)))
+      g.adj.(v)
+  done;
+  words
+
 let iter_edges g f =
   (* lint: allow R7 single O(n + m) pass; budgeted callers poll around
      whole-graph sweeps, not inside them *)

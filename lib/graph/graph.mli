@@ -43,6 +43,14 @@ val iter_neighbours : t -> int -> (int -> unit) -> unit
 (** [fold_neighbours g v f init] folds over the neighbours of [v]. *)
 val fold_neighbours : t -> int -> (int -> 'a -> 'a) -> 'a -> 'a
 
+(** [adjacency_words ?spare_rows g] is the adjacency of [g] as flat
+    words: row [v] is the [nw = ⌈n / bits_per_word⌉] words starting at
+    [v * nw], in {!Wlcq_util.Bitset}'s word layout, followed by
+    [spare_rows] zeroed rows of the same width for the caller's own
+    use.  For loops over many rows that AND, OR and popcount words
+    without allocating. *)
+val adjacency_words : ?spare_rows:int -> t -> int array
+
 (** [edges g] lists edges as pairs [(u, v)] with [u < v], sorted. *)
 val edges : t -> (int * int) list
 

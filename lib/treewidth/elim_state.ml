@@ -17,15 +17,10 @@ type t = { n : int; nw : int; words : int array }
 let of_graph g =
   let n = Graph.num_vertices g in
   let nw = (n + bpw - 1) / bpw in
-  let words = Array.make ((n + 1) * nw) 0 in
-  let set base i =
-    let k = base + (i / bpw) in
-    words.(k) <- words.(k) lor (1 lsl (i mod bpw))
-  in
-  (* lint: allow R7 one pass over the edges, before any elimination *)
+  let words = Graph.adjacency_words ~spare_rows:1 g in
   for v = 0 to n - 1 do
-    set (n * nw) v;
-    Graph.iter_neighbours g v (set (v * nw))
+    let k = (n * nw) + (v / bpw) in
+    words.(k) <- words.(k) lor (1 lsl (v mod bpw))
   done;
   { n; nw; words }
 
@@ -126,7 +121,6 @@ let contract s v w =
   let { n; nw; words } = s in
   let r = v * nw and l = n * nw and rw = w * nw in
   let wb = 1 lsl (w mod bpw) in
-  (* lint: allow R7 one word update per live neighbour of [v] *)
   for i = 0 to nw - 1 do
     let x = ref (words.(r + i) land words.(l + i)) in
     words.(rw + i) <- words.(rw + i) lor !x;

@@ -95,40 +95,65 @@ let branch_and_bound ~budget g initial_ub initial_order =
 
 (* The heuristic bracket of [g]: the better greedy order with the
    width it reaches, and the MMD+ lower bound.  When the bounds meet,
-   the greedy order is optimal and there is nothing to search. *)
-type bracket = { ub : int; ub_order : int list; lb : int }
+   the greedy order is optimal and there is nothing to search.  The
+   passes poll [budget] once per step.  [tripped] records a trip inside
+   them, and then [ub] and [ub_order] are the best found so far: n - 1
+   and the identity order before the min-degree pass is done, that
+   pass's width and order after it. *)
+type bracket = {
+  ub : int;
+  ub_order : int list;
+  lb : int;
+  tripped : Budget.reason option;
+}
 
-let bracket g =
-  let ub, ub_order = Heuristics.upper_bound_order g in
-  { ub; ub_order; lb = Heuristics.lower_bound g }
+let bracket ~budget g =
+  let cut (ub, ub_order) r = { ub; ub_order; lb = -1; tripped = Some r } in
+  match Heuristics.min_degree_order ~budget g with
+  | exception Budget.Exhausted r ->
+    let n = Graph.num_vertices g in
+    cut (n - 1, List.init n Fun.id) r
+  | (w_md, _) as md -> (
+    match Heuristics.min_fill_order ~budget g with
+    | exception Budget.Exhausted r -> cut md r
+    | (w_mf, _) as mf -> (
+      let ((ub, ub_order) as best) = if w_mf <= w_md then mf else md in
+      match Heuristics.lower_bound ~budget g with
+      | exception Budget.Exhausted r -> cut best r
+      | lb -> { ub; ub_order; lb; tripped = None }))
 
 let is_closed b = b.lb >= b.ub
 
+let fall_back b r =
+  Obs.incr m_heuristic_fallbacks;
+  Obs.journal ~severity:Obs.Warn
+    ~attrs:
+      [ ("reason", Budget.reason_to_string r);
+        ("upper_bound", string_of_int b.ub) ]
+    "tw.heuristic_fallback";
+  (b.ub, b.ub_order, Some r)
+
 (* Shared solver core: closes the bracket [b] of [g] by branch and
    bound and returns the best width/order found plus, when the budget
-   tripped mid-search, the trip reason.  On a trip the returned pair is
-   the bracket's upper bound, computed before the search started — the
-   degradation ladder's first rung is free. *)
+   tripped, the trip reason.  On a trip the returned pair is the
+   bracket's upper bound — the degradation ladder's first rung costs
+   nothing more. *)
 let solve_from ~budget g b =
-  Obs.span "tw.solve" @@ fun () ->
-  if Obs.enabled () then Obs.incr m_solves;
-  if is_closed b then (b.ub, b.ub_order, None)
-  else begin
-    (* the BB improves on ub+1 (i.e., finds width <= ub) or keeps it *)
-    match branch_and_bound ~budget g (b.ub + 1) b.ub_order with
-    | w, order when w <= b.ub -> (w, order, None)
-    | _ -> (b.ub, b.ub_order, None)
-    | exception Budget.Exhausted r ->
-      Obs.incr m_heuristic_fallbacks;
-      Obs.journal ~severity:Obs.Warn
-        ~attrs:
-          [ ("reason", Budget.reason_to_string r);
-            ("upper_bound", string_of_int b.ub) ]
-        "tw.heuristic_fallback";
-      (b.ub, b.ub_order, Some r)
-  end
+  match b.tripped with
+  | Some r -> fall_back b r
+  | None ->
+    Obs.span "tw.solve" @@ fun () ->
+    if Obs.enabled () then Obs.incr m_solves;
+    if is_closed b then (b.ub, b.ub_order, None)
+    else begin
+      (* the BB improves on ub+1 (i.e., finds width <= ub) or keeps it *)
+      match branch_and_bound ~budget g (b.ub + 1) b.ub_order with
+      | w, order when w <= b.ub -> (w, order, None)
+      | _ -> (b.ub, b.ub_order, None)
+      | exception Budget.Exhausted r -> fall_back b r
+    end
 
-let solve_with ~budget g = solve_from ~budget g (bracket g)
+let solve_with ~budget g = solve_from ~budget g (bracket ~budget g)
 
 let solve g =
   let w, order, _ = solve_with ~budget:Budget.unlimited g in
@@ -202,14 +227,15 @@ let optimal_decomposition_budgeted ~budget g =
      deadline-bound request should profit from results an unlimited
      (or earlier budgeted) run proved exact.  Only writes stay
      exact-only, so a degraded decomposition never enters the tier. *)
-  if not (Cache.enabled ()) then solve (bracket g)
+  if not (Cache.enabled ()) then solve (bracket ~budget g)
   else begin
     let key = Cache.structural_address g in
     match Cache.find decomposition_store key with
     | Some d -> hit d
     | None ->
-      let b = bracket g in
-      if is_closed b then solve_and_add b key Fun.id
+      let b = bracket ~budget g in
+      if Option.is_some b.tripped then solve b
+      else if is_closed b then solve_and_add b key Fun.id
       else begin
         let addr, perm = Cache.address g in
         match Cache.find decomposition_store addr with

@@ -23,18 +23,22 @@ module Outcome = Wlcq_robust.Outcome
 val treewidth : Graph.t -> int
 
 (** [treewidth_budgeted ~budget g] is the budgeted variant: [`Exact w]
-    when the branch and bound finished, [`Degraded (ub, _)] with the
-    {!Heuristics} upper bound (min-degree / min-fill bracket, computed
-    before the search starts) when [budget] tripped mid-search.  Never
-    [`Exhausted]: the heuristic rung is polynomial and always
-    available.  Bumps the [robust.fallback.tw_heuristic] counter on
-    degradation. *)
+    when the branch and bound finished, [`Degraded (ub, _)] when
+    [budget] tripped.  The heuristic bracket before the search polls
+    [budget] once per greedy or contraction step, so [ub] is the best
+    bound found by the trip: the {!Heuristics} upper bound (min-degree
+    / min-fill) when the search was cut, the min-degree width when a
+    later bracket pass was, and [n - 1] inside the min-degree pass.
+    Never [`Exhausted]: [n - 1] is always sound.  Bumps the
+    [robust.fallback.tw_heuristic] counter on degradation. *)
 val treewidth_budgeted : budget:Budget.t -> Graph.t -> (int, 'p) Outcome.t
 
 (** [optimal_decomposition_budgeted ~budget g] is {!optimal_decomposition}
     under a budget: [`Degraded] carries a valid (but possibly
-    wider-than-optimal) decomposition from the heuristic order.
-    Degraded decompositions never enter the memo. *)
+    wider-than-optimal) decomposition from the order behind
+    {!treewidth_budgeted}'s degraded width (the identity order when
+    the min-degree pass was cut).  Degraded decompositions never
+    enter the memo. *)
 val optimal_decomposition_budgeted :
   budget:Budget.t -> Graph.t -> (Decomposition.t, 'p) Outcome.t
 

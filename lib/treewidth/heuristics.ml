@@ -1,17 +1,18 @@
 open Wlcq_graph
 module E = Elim_state
+module Budget = Wlcq_robust.Budget
 
 (* Greedy elimination: always eliminate the first live vertex of least
-   [score] over the current (filled) graph.  Returns the width reached
-   (the largest degree at elimination) and the order. *)
-let greedy score g =
+   [score] over the current (filled) graph, polling [budget] once per
+   step.  Returns the width reached (the largest degree at
+   elimination) and the order. *)
+let greedy ~budget score g =
   let s = E.of_graph g in
   let n = s.E.n in
   let order = Array.make n 0 in
   let width = ref (-1) in
-  (* lint: allow R7 polynomial greedy pass on the pattern graph: one
-     vertex eliminated per iteration, one scan of the live vertices *)
   for k = 0 to n - 1 do
+    Budget.check budget;
     let best = ref (-1) in
     let best_score = ref max_int in
     for v = 0 to n - 1 do
@@ -30,9 +31,12 @@ let greedy score g =
   done;
   (!width, Array.to_list order)
 
+let min_degree_order ?(budget = Budget.unlimited) g = greedy ~budget E.degree g
+let min_fill_order ?(budget = Budget.unlimited) g = greedy ~budget E.fill_count g
+
 let upper_bound_order g =
-  let ((w_md, _) as md) = greedy E.degree g in
-  let ((w_mf, _) as mf) = greedy E.fill_count g in
+  let ((w_md, _) as md) = min_degree_order g in
+  let ((w_mf, _) as mf) = min_fill_order g in
   if w_mf <= w_md then mf else md
 
 let upper_bound g = fst (upper_bound_order g)
@@ -41,15 +45,14 @@ let upper_bound g = fst (upper_bound_order g)
    its lowest-degree neighbour; the running maximum of minimum degrees
    lower-bounds the treewidth (minors do not increase treewidth, and
    min-degree lower-bounds the treewidth of each minor). *)
-let lower_bound g =
+let lower_bound ?(budget = Budget.unlimited) g =
   let n = Graph.num_vertices g in
   if n = 0 then -1
   else begin
     let s = E.of_graph g in
     let bound = ref 0 in
-    (* lint: allow R7 each iteration removes one live vertex, so at
-       most n iterations of polynomial work *)
     for _ = 2 to n do
+      Budget.check budget;
       (* first live vertex of minimum degree *)
       let v, vd =
         E.fold_live

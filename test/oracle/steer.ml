@@ -8,15 +8,13 @@
 module Dispatch = Wlcq_dispatch.Dispatch
 module Cache = Wlcq_cache.Cache
 
-(* Brute enumeration for every hom count (brute costs saturate at
-   [sat_cap]), and the enumeration kernel for every answer count whose
-   keyspace and component sweeps fit 2^20 steps — all the test
-   instances.  Not [sat_cap] there: the kernel allocates its component
-   tables at up to the keyspace's size. *)
+(* Brute enumeration for every hom count and the projection-row kernel
+   for every answer count whose predicted work has not saturated
+   (costs saturate at [sat_cap], so no DP estimate outweighs it). *)
 let brute =
   { Dispatch.default_calibration with
     Dispatch.brute_hom_max = Dispatch.sat_cap;
-    enum_answers_max = 1 lsl 20 }
+    enum_answers_max = Dispatch.sat_cap }
 
 (* The full packed pipeline, arc consistency included, on every
    instance. *)

@@ -116,6 +116,33 @@ let test_ans_big_count () =
        (quantified_path 10))
     "100000000000000000000"
 
+(* star3 (treewidth 1, sew 3): the projection-row kernel counts it in
+   milliseconds where backtracking over all 3-tuples takes seconds *)
+let q_star3 = "\"(x1, x2, x3) := exists y . E(x1, y) & E(x2, y) & E(x3, y)\""
+
+let test_ans_star3 () =
+  check_ans "star3 on a 200-cycle"
+    (Printf.sprintf "ans %s --graph cycle:200 --deadline-ms 500" q_star3)
+    "1400";
+  check_ans "star3 on a dense G(80, 0.9)"
+    (Printf.sprintf "ans %s --graph gnp:80,0.9,1 --deadline-ms 500" q_star3)
+    "512000"
+
+(* the heuristic bracket before the branch and bound polls its budget:
+   a 1 ms deadline on a dense 400-vertex graph answers promptly with a
+   labelled upper bound *)
+let test_tw_bracket_deadline () =
+  let t0 = Unix.gettimeofday () in
+  let code, out = run_stdout "tw --graph gnp:400,0.5,1 --deadline-ms 1" in
+  let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Alcotest.(check int) "tw bracket under 1 ms: exit code" 3 code;
+  Alcotest.(check bool) "tw bracket under 1 ms: labelled bound" true
+    (String.length out >= 3 && String.equal (String.sub out 0 3) "<= ");
+  Alcotest.(check bool)
+    (Printf.sprintf "tw bracket under 1 ms: answers within 100 ms (took %.1f)"
+       ms)
+    true (ms <= 100.0)
+
 (* ---- PR 8: metrics exposition and offline diffing ---------------- *)
 
 let read_file file = In_channel.with_open_bin file In_channel.input_all
@@ -436,12 +463,15 @@ let () =
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
           Alcotest.test_case "kg-widths honours its budget" `Quick
             test_kg_widths_budget;
+          Alcotest.test_case "tw bracket honours its budget" `Quick
+            test_tw_bracket_deadline;
         ] );
       ( "ans",
         [
           Alcotest.test_case "exact where enumeration cannot finish" `Quick
             test_ans_past_enumeration;
           Alcotest.test_case "counts past max_int" `Quick test_ans_big_count;
+          Alcotest.test_case "star3 past enumeration" `Quick test_ans_star3;
         ] );
       ( "observability",
         [

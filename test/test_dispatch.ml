@@ -21,6 +21,7 @@ module Td_ref = Wlcq_oracle.Td_ref
 module Fast_ref = Wlcq_oracle.Fast_ref
 module Steer = Wlcq_oracle.Steer
 module Fanout = Wlcq_oracle.Fanout
+module Obs = Wlcq_obs.Obs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -117,6 +118,95 @@ let qcheck_answers_engines_agree =
            (fun () -> Fast_count.count_answers q g)
        in
        agree_on Bigint.to_string (("cq", enumerated) :: results))
+
+(* A random CQ over the free variables 0..k-1: one to three quantified
+   components of one or two vertices, each attached to one to three
+   distinct free variables, H[X] edges with probability 1/4, and in one
+   case out of three an unattached quantified edge or triangle.  Free
+   variables that nothing touches stay isolated in H. *)
+let random_mixed_cq rng ~k =
+  let edges = ref [] and next = ref k in
+  let fresh () =
+    let v = !next in
+    incr next;
+    v
+  in
+  for _ = 0 to Prng.int rng 3 do
+    let y = fresh () in
+    let members =
+      if Prng.bool rng then begin
+        let y' = fresh () in
+        edges := (y, y') :: !edges;
+        [| y; y' |]
+      end
+      else [| y |]
+    in
+    let xs = Array.init k Fun.id in
+    Prng.shuffle rng xs;
+    for i = 0 to Prng.int rng (min 3 k) do
+      edges := (xs.(i), members.(Prng.int rng (Array.length members))) :: !edges
+    done
+  done;
+  for u = 0 to k - 1 do
+    for v = u + 1 to k - 1 do
+      if Prng.int rng 4 = 0 then edges := (u, v) :: !edges
+    done
+  done;
+  if Prng.int rng 3 = 0 then begin
+    let a = fresh () and b = fresh () in
+    edges := (a, b) :: !edges;
+    if Prng.bool rng then begin
+      let c = fresh () in
+      edges := (a, c) :: (b, c) :: !edges
+    end
+  end;
+  Cq.make (Graph.create !next !edges) (List.init k Fun.id)
+
+(* A host of 3-8 vertices, sometimes with two isolated vertices added;
+   or, for [big], a sparse one of 63-70 vertices whose last four are
+   isolated, so the kernel's rows take two words. *)
+let random_host rng ~big =
+  if big then begin
+    let n = 63 + Prng.int rng 8 in
+    Graph.create n (Graph.edges (Gen.gnp rng (n - 4) 0.08))
+  end
+  else begin
+    let n = 3 + Prng.int rng 6 in
+    let g = Gen.gnp rng n 0.5 in
+    if Prng.bool rng then Graph.create (n + 2) (Graph.edges g) else g
+  end
+
+let qcheck_kernel_agrees =
+  QCheck.Test.make
+    ~name:"Fast_count: kernel = Cq = packed DP on mixed queries" ~count:150
+    QCheck.(pair (int_range 1 4) (int_bound 1_000_000))
+    (fun (k, seed) ->
+       let rng = Prng.create seed in
+       (* two-word hosts only under at most two free variables: the
+          enumeration oracle pays ng^|X| *)
+       let big = k <= 2 && seed mod 4 = 0 in
+       let q = random_mixed_cq rng ~k in
+       let g = random_host rng ~big in
+       let auto = Fast_count.count_answers q g in
+       Bigint.equal auto (Bigint.of_int (Cq.count_answers q g))
+       && Bigint.equal auto
+         (Steer.with_calibration Steer.packed (fun () ->
+              Fast_count.count_answers q g)))
+
+let test_kernel_differential () =
+  let chose_enum () =
+    match Obs.find_counter "dispatch.chose_enum" with
+    | Some c -> Obs.counter_value c
+    | None -> 0
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let before = chose_enum () in
+  QCheck.Test.check_exn qcheck_kernel_agrees;
+  (* the default table must have routed counts to the kernel, or the
+     property compared the DP with itself *)
+  check_bool "the kernel answered" true (chose_enum () > before)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: k-WL on random graphs and CFI pairs                   *)
@@ -216,33 +306,42 @@ let test_choose_hom_pinned () =
         (Dispatch.prune_candidates ~work:1))
 
 let test_choose_answers_pinned () =
-  let routes_to_enum ~nx ~max_comp ~ng ~mg =
-    match Dispatch.choose_answers ~nx ~max_comp ~ng ~mg with
+  (* [comps] lists (|C|, |δ_C|) per attached quantified component *)
+  let routes_to_enum ~nx ?(free_edges = 0) comps ~ng ~mg =
+    match Dispatch.choose_answers ~nx ~free_edges ~comps ~ng ~mg with
     | Dispatch.Ans_enum -> true
     | Dispatch.Ans_packed -> false
   in
-  check_bool "small keyspace routes to enum" true
-    (routes_to_enum ~nx:2 ~max_comp:3 ~ng:9 ~mg:12);
-  check_bool "huge keyspace routes to packed" false
-    (routes_to_enum ~nx:8 ~max_comp:10 ~ng:50 ~mg:300);
-  (* bench-pool shapes on which the kernel runs 5-50x faster than the
-     packed DP: its tables have ng^|δ| entries, δ ⊆ X, and its
-     component sweep costs brute_cost ~nh:|C ∪ δ| *)
-  check_bool "star3 on 14 vertices / 25 edges routes to enum" true
-    (routes_to_enum ~nx:3 ~max_comp:4 ~ng:14 ~mg:25);
-  check_bool "star2 on 40 vertices / 167 edges routes to enum" true
-    (routes_to_enum ~nx:2 ~max_comp:3 ~ng:40 ~mg:167);
-  check_bool "path2 on 24 vertices / 54 edges routes to enum" true
-    (routes_to_enum ~nx:2 ~max_comp:4 ~ng:24 ~mg:54);
-  (* the free-assignment search alone outgrows the cutoff *)
-  check_bool "three free variables over 200 vertices stay packed" false
-    (routes_to_enum ~nx:3 ~max_comp:4 ~ng:200 ~mg:400);
-  (* a dense target makes the component sweep outgrow the cutoff *)
-  check_bool "star2 on a 32-clique stays packed" false
-    (routes_to_enum ~nx:2 ~max_comp:3 ~ng:32 ~mg:496);
+  (* star3: one sweep over the 3-vertex path x1 - y - x2 (200·3·2^2)
+     plus a join of 200^2 row ANDs, against 200^3 pinned searches *)
+  Alcotest.(check (pair int int)) "star3 costs" (42_400, 8_000_600)
+    (Dispatch.answer_costs ~nx:3 ~free_edges:0 ~comps:[ (1, 3) ] ~ng:200
+       ~mg:200);
+  (* the pool's two path2 slots, which the DP ran 10-20x slower *)
+  check_bool "path2 on 40 vertices / 151 edges routes to the kernel" true
+    (routes_to_enum ~nx:2 [ (2, 2) ] ~ng:40 ~mg:151);
+  check_bool "star3 on 200 vertices / 200 edges routes to the kernel" true
+    (routes_to_enum ~nx:3 [ (1, 3) ] ~ng:200 ~mg:200);
+  check_bool "star2 on a 32-clique routes to the kernel" true
+    (routes_to_enum ~nx:2 [ (1, 2) ] ~ng:32 ~mg:496);
+  (* a join of ng^(nx-1) row ANDs against a DP whose every bag has two
+     free variables *)
+  check_bool "5-free quantified path on a 24-clique stays packed" false
+    (routes_to_enum ~nx:5 (List.init 4 (fun _ -> (1, 2))) ~ng:24 ~mg:276);
+  check_bool "full 5-path on a 24-clique stays packed" false
+    (routes_to_enum ~nx:5 ~free_edges:4 [] ~ng:24 ~mg:276);
+  (* the kernel's estimate saturates: 10^20 answers are the DP's *)
+  check_bool "10 free variables over a 100-clique stay packed" false
+    (routes_to_enum ~nx:10 (List.init 9 (fun _ -> (1, 2))) ~ng:100 ~mg:4950);
   Steer.with_calibration Steer.packed (fun () ->
       check_bool "steered packed answers" false
-        (routes_to_enum ~nx:2 ~max_comp:3 ~ng:9 ~mg:12))
+        (routes_to_enum ~nx:2 [ (1, 2) ] ~ng:9 ~mg:12));
+  Steer.with_calibration Steer.brute (fun () ->
+      check_bool "steered kernel answers" true
+        (routes_to_enum ~nx:5 (List.init 4 (fun _ -> (1, 2))) ~ng:24 ~mg:276);
+      check_bool "steered kernel leaves saturated joins packed" false
+        (routes_to_enum ~nx:10 (List.init 9 (fun _ -> (1, 2))) ~ng:100
+           ~mg:4950))
 
 let test_parallel_decisions_pinned () =
   (* the threshold ref contract: max_int forces sequential, 0 forces
@@ -311,6 +410,8 @@ let () =
               `Quick test_kwl_cfi_pair_engines;
             Alcotest.test_case "CFI hom counts across engines" `Quick
               test_cfi_hom_counts_engines;
+            Alcotest.test_case "kernel = Cq = packed on mixed queries" `Quick
+              test_kernel_differential;
           ] );
       ( "cost model",
         [

@@ -292,10 +292,10 @@ let test_partial_count_ladders () =
      check_bool "inj partial is a lower bound" true
        (partial >= 0 && partial <= Inj.count h g)
    | `Exact _ | `Degraded _ -> Alcotest.fail "tripped inj must exhaust");
-  (* the answer counter's partial is the enumeration kernel's running
-     total at the trip.  A fault injected at the first poll (tick
-     [Budget.tick_interval]) lands after the kernel's component sweep,
-     inside its free-assignment search, so the partial is a real count *)
+  (* the answer counter's partial is the projection-row kernel's
+     running total at the trip.  A fault injected at the first poll
+     (tick [Budget.tick_interval]) lands after the kernel's component
+     sweep, inside its join, so the partial is a real count *)
   let star3 =
     (Parser.parse_exn
        "(x1, x2, x3) := exists y . E(x1, y) & E(x2, y) & E(x3, y)").query
@@ -315,14 +315,18 @@ let test_partial_count_ladders () =
      check_bool "kernel partial counts answers" true (Bigint.sign partial > 0)
    | `Exact _ | `Degraded _ -> Alcotest.fail "tripped kernel must exhaust");
   (* a DP table cut off mid-run has no sound reading: the packed route
-     reports 0 *)
-  let star2 =
-    (Parser.parse_exn "(x1, x2) := exists y . E(x1, y) & E(x2, y)").query
+     reports 0.  A 5-free quantified path on a clique is the DP's: the
+     kernel's join would visit 24^4 prefixes *)
+  let qpath5 =
+    (Parser.parse_exn
+       "(x0, x1, x2, x3, x4) := exists y0 y1 y2 y3 . E(x0, y0) & E(y0, x1) \
+        & E(x1, y1) & E(y1, x2) & E(x2, y2) & E(y2, x3) & E(x3, y3) \
+        & E(y3, x4)").query
   in
   match
     expect_bump "dispatch.chose_packed" (fun () ->
-        Fast_count.count_answers_budgeted ~budget:(hand_tripped ()) star2
-          (Builders.clique 32))
+        Fast_count.count_answers_budgeted ~budget:(hand_tripped ()) qpath5
+          (Builders.clique 24))
   with
   | `Exhausted (partial, _) ->
     check_bool "packed partial is 0" true (Bigint.is_zero partial)
