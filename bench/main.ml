@@ -30,6 +30,7 @@ module Budget = Wlcq_robust.Budget
 module Dispatch = Wlcq_dispatch.Dispatch
 module Cache = Wlcq_cache.Cache
 module Steer = Wlcq_oracle.Steer
+module Enum_ref = Wlcq_oracle.Enum_ref
 
 let parse s = (Parser.parse_exn s).Parser.query
 
@@ -364,7 +365,7 @@ let t8 () =
        List.iter
          (fun k ->
             let a = Domset.count_direct k g in
-            let b = Domset.count_via_stars k g in
+            let b = Enum_ref.count_domsets_via_stars k g in
             let c = Domset.count_via_quantum k g in
             let ok = Bigint.equal a b && Bigint.equal a c in
             record ok;
@@ -439,7 +440,7 @@ let t9 () =
        let hsew = Quantum.hsew quantum in
        List.iter
          (fun (gname, g) ->
-            let direct = Quantum.count_union_answers qs g in
+            let direct = Enum_ref.count_union_answers qs g in
             let value = Quantum.evaluate quantum g in
             let ok = Rat.equal value (Rat.of_int direct) in
             record ok;

@@ -308,7 +308,9 @@ let ans_cmd =
     let q = p.Core.Parser.query in
     let graph = parse_graph graph_str in
     if injective then
-      Printf.printf "%d\n" (Core.Cq.count_answers_injective ~budget q graph)
+      Printf.printf "%s\n"
+        (Bigint.to_string
+           (Core.Quantum.count_injective_answers ~budget q graph))
     else if interpolate then
       Printf.printf "%s\n"
         (Bigint.to_string
@@ -333,7 +335,8 @@ let ans_cmd =
   in
   let injective =
     Arg.(value & flag
-         & info [ "injective" ] ~doc:"Count injective answers only.")
+         & info [ "injective" ]
+             ~doc:"Count injective answers only (Corollary 68 expansion).")
   in
   let doc = "Count the answers of a query in a graph." in
   Cmd.v (Cmd.info "ans" ~doc)
@@ -509,11 +512,10 @@ let domsets_cmd =
     let count =
       match via with
       | "direct" -> Core.Domset.count_direct ~budget k graph
-      | "stars" -> Core.Domset.count_via_stars ~budget k graph
-      | "quantum" -> Core.Domset.count_via_quantum k graph
+      | "quantum" -> Core.Domset.count_via_quantum ~budget k graph
       | other ->
         fail_malformed
-          (Printf.sprintf "unknown method %S (direct|stars|quantum)" other)
+          (Printf.sprintf "unknown method %S (direct|quantum)" other)
     in
     Printf.printf "%s\n" (Bigint.to_string count)
   in
@@ -521,8 +523,8 @@ let domsets_cmd =
   let via =
     Arg.(value & opt string "direct"
          & info [ "via" ]
-             ~doc:"Counting method: direct, stars (complement/star \
-                   reduction), or quantum (Corollary 68 expansion).")
+             ~doc:"Counting method: direct, or quantum (complement/star \
+                   reduction, Corollary 68 expansion).")
   in
   let doc = "Count size-k dominating sets (Corollary 6)." in
   Cmd.v (Cmd.info "domsets" ~doc)
@@ -535,7 +537,7 @@ let domsets_cmd =
 (* ------------------------------------------------------------------ *)
 
 let union_cmd =
-  let run _ () _budget union_str graph_str =
+  let run _ () budget union_str graph_str =
     guarded @@ fun () ->
     match Core.Ucq.of_string union_str with
     | Error e -> fail_malformed e
@@ -554,7 +556,7 @@ let union_cmd =
        | Some s ->
          let g = parse_graph s in
          Printf.printf "answers:       %s\n"
-           (Bigint.to_string (Core.Ucq.count_answers u g)))
+           (Bigint.to_string (Core.Ucq.count_answers ~budget u g)))
   in
   let graph =
     Arg.(value & opt (some string) None

@@ -69,18 +69,6 @@ let count_answers ?budget q g =
   iter_answers ?budget q g (fun _ -> incr n);
   !n
 
-let answers q g =
-  let acc = ref [] in
-  iter_answers q g (fun a -> acc := Array.copy a :: !acc);
-  List.rev !acc
-
-let count_answers_injective ?budget q g =
-  let n = ref 0 in
-  iter_answers ?budget q g (fun a ->
-      let distinct = List.sort_uniq Int.compare (Array.to_list a) in
-      if List.length distinct = Array.length a then incr n);
-  !n
-
 let colour_classes g c =
   let classes = Hashtbl.create 16 in
   Array.iteri

@@ -59,15 +59,6 @@ val count_answers : ?budget:Budget.t -> t -> Graph.t -> int
 val iter_answers :
   ?budget:Budget.t -> t -> Graph.t -> (int array -> unit) -> unit
 
-(** [answers q g] lists all answers. *)
-val answers : t -> Graph.t -> int array list
-
-(** [count_answers_injective q g] counts the injective answers
-    [Inj(q, g)] of Corollary 68 (the assignment must be injective; the
-    extension to [Y] is unconstrained).
-    @raise Budget.Exhausted when [budget] trips. *)
-val count_answers_injective : ?budget:Budget.t -> t -> Graph.t -> int
-
 (** [count_answers_tau q g ~c ~tau] is [|Ans^τ(q, (g, c))|] of
     Definition 36: answers [a] with [c(a(x)) = tau(x)] for each free
     variable — [c] is an [H]-colouring of [g] and [tau] maps free-var

@@ -24,26 +24,18 @@ let count_direct ?(budget = Budget.unlimited) k g =
   Bigint.of_int !count
 
 (* |Δ_k(G)| = C(n,k) − Inj((S_k,X_k), Ḡ)/k!  (proof of Corollary 68) *)
-let via_injective_count inj_count k g =
+let count_via_quantum ?budget k g =
   let n = Graph.num_vertices g in
-  let complement = Ops.complement g in
-  let inj = inj_count k complement in
+  let inj =
+    match
+      Rat.to_bigint_opt
+        (Quantum.evaluate ?budget (Quantum.injective_star k)
+           (Ops.complement g))
+    with
+    | Some b -> b
+    | None -> failwith "Domset.count_via_quantum: non-integer quantum evaluation"
+  in
   let per_subset, rem = Bigint.divmod inj (Bigint.factorial k) in
   if not (Bigint.is_zero rem) then
-    failwith "Domset.via_injective_count: injective answer count not divisible by k!";
+    failwith "Domset.count_via_quantum: injective answer count not divisible by k!";
   Bigint.sub (Bigint.binomial n k) per_subset
-
-let count_via_stars ?budget k g =
-  via_injective_count
-    (fun k g ->
-       Bigint.of_int (Cq.count_answers_injective ?budget (Star.query k) g))
-    k g
-
-let count_via_quantum k g =
-  via_injective_count
-    (fun k g ->
-       let v = Quantum.evaluate (Quantum.injective_star k) g in
-       match Rat.to_bigint_opt v with
-       | Some b -> b
-       | None -> failwith "Domset.count_via_quantum: non-integer quantum evaluation")
-    k g

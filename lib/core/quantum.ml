@@ -1,4 +1,6 @@
 open Wlcq_graph
+module Bigint = Wlcq_util.Bigint
+module Budget = Wlcq_robust.Budget
 module Rat = Wlcq_util.Rat
 
 type term = { coeff : Rat.t; query : Cq.t }
@@ -42,12 +44,12 @@ let make_exn entries =
 
 let terms q = q
 
-let evaluate q g =
+let evaluate ?budget q g =
   List.fold_left
     (fun acc t ->
        Rat.add acc
          (Rat.mul t.coeff
-            (Rat.of_bigint (Fast_count.count_answers t.query g))))
+            (Rat.of_bigint (Fast_count.count_answers ?budget t.query g))))
     Rat.zero q
 
 let hsew q =
@@ -110,17 +112,6 @@ let of_union qs =
   done;
   make_exn (List.rev !entries)
 
-let count_union_answers qs g =
-  match qs with
-  | [] -> invalid_arg "Quantum.count_union_answers: empty union"
-  | first :: _ ->
-    let k = Cq.num_free first in
-    let n = Graph.num_vertices g in
-    let count = ref 0 in
-    Wlcq_util.Combinat.iter_tuples n k (fun a ->
-        if List.exists (fun q -> Cq.is_answer q g a) qs then incr count);
-    !count
-
 (* Signed Stirling numbers of the first kind:
    s(n, m) = s(n-1, m-1) - (n-1)·s(n-1, m). *)
 let stirling_first k =
@@ -139,58 +130,72 @@ let injective_star k =
   let coeffs = stirling_first k in
   make_exn (List.init k (fun i -> (coeffs.(i + 1), Star.query (i + 1))))
 
-(* Möbius function of the partition lattice: Π_B (-1)^(|B|-1)(|B|-1)! *)
-let moebius blocks =
-  List.fold_left
-    (fun acc block ->
-       let b = List.length block in
-       let sign = if (b - 1) mod 2 = 0 then 1 else -1 in
-       let fact =
-         List.fold_left ( * ) 1 (List.init (max 0 (b - 1)) (fun i -> i + 1))
-       in
-       acc * sign * fact)
-    1 blocks
+(* Möbius function of the partition lattice from the discrete partition
+   to the one with [size.(b)] positions in block b:
+   Π_B (-1)^(|B|-1)(|B|-1)! *)
+let moebius size =
+  Array.fold_left
+    (fun acc b ->
+       let fact = Bigint.factorial (b - 1) in
+       Bigint.mul acc (if b mod 2 = 0 then Bigint.neg fact else fact))
+    Bigint.one size
 
-(* Identify free variables according to a partition of positions;
-   None when the identification creates a self-loop atom. *)
-let quotient_by_free_partition q partition =
+(* [iter_injective_terms q f] calls [f μ(ρ) (q/ρ)] for each partition ρ
+   of X's positions whose quotient has no self-loop atom.  The answers
+   of q/ρ are those of q constant on ρ's blocks, so inverting over the
+   partition lattice leaves the injective ones.  The partitions are
+   walked as restricted growth strings (position p joins a block opened
+   before it or opens the next), so none is materialised: there are
+   Bell(|X|) of them. *)
+let iter_injective_terms q f =
   let h = q.Cq.graph in
-  let n = Graph.num_vertices h in
-  let xs = Cq.free_vars q in
-  let cls = Array.make n (-1) in
-  List.iteri
-    (fun block_id block ->
-       List.iter (fun p -> cls.(xs.(p)) <- block_id) block)
-    partition;
-  let blocks = List.length partition in
-  let next = ref blocks in
-  Array.iteri
-    (fun v c ->
-       if c < 0 then begin
-         cls.(v) <- !next;
-         incr next
-       end)
-    cls;
-  match Ops.quotient h cls with
-  | quotiented -> Some (Cq.make quotiented (List.init blocks (fun i -> i)))
-  | exception Invalid_argument _ -> None
+  let xs = Cq.free_vars q and ys = Cq.quantified_vars q in
+  let k = Array.length xs in
+  let block = Array.make k 0 in
+  (* free position p goes to class block.(p), each quantified variable
+     to a class of its own *)
+  let cls = Array.make (Graph.num_vertices h) 0 in
+  let rec walk p blocks =
+    if p = k then begin
+      let size = Array.make blocks 0 in
+      Array.iteri
+        (fun i x ->
+           cls.(x) <- block.(i);
+           size.(block.(i)) <- size.(block.(i)) + 1)
+        xs;
+      Array.iteri (fun j y -> cls.(y) <- blocks + j) ys;
+      match Ops.quotient h cls with
+      | quotiented ->
+        f (moebius size) (Cq.make quotiented (List.init blocks (fun i -> i)))
+      | exception Invalid_argument _ -> ()
+    end
+    else
+      for b = 0 to blocks do
+        block.(p) <- b;
+        walk (p + 1) (max blocks (b + 1))
+      done
+  in
+  walk 0 0
 
 let injective_expansion q =
   if not (Cq.is_connected q) then
     invalid_arg "Quantum.injective_expansion: query must be connected";
-  let k = Cq.num_free q in
-  if k = 0 then
+  if Cq.is_boolean q then
     invalid_arg "Quantum.injective_expansion: query must have free variables";
-  let entries =
-    List.filter_map
-      (fun partition ->
-         match quotient_by_free_partition q partition with
-         | None -> None
-         | Some quotiented ->
-           Some (Rat.of_int (moebius partition), quotiented))
-      (Wlcq_util.Combinat.partitions (List.init k (fun i -> i)))
-  in
-  make_exn entries
+  let entries = ref [] in
+  iter_injective_terms q (fun mu quotiented ->
+      entries := (Rat.of_bigint mu, quotiented) :: !entries);
+  make_exn (List.rev !entries)
+
+let count_injective_answers ?(budget = Budget.unlimited) q g =
+  let total = ref Bigint.zero in
+  iter_injective_terms q (fun mu quotiented ->
+      (* one tick per term: a term on a tiny host may not tick at all *)
+      Budget.tick_check budget;
+      total :=
+        Bigint.add !total
+          (Bigint.mul mu (Fast_count.count_answers ~budget quotiented g)));
+  !total
 
 let with_free_negations q pairs =
   let k = Cq.num_free q in
@@ -217,16 +222,6 @@ let with_free_negations q pairs =
     entries := (sign, query) :: !entries
   done;
   make_exn (List.rev !entries)
-
-let count_answers_with_negations q pairs g =
-  let count = ref 0 in
-  Cq.iter_answers q g (fun a ->
-      if
-        List.for_all
-          (fun (i, j) -> not (Graph.adjacent g a.(i) a.(j)))
-          pairs
-      then incr count);
-  !count
 
 let lower_bound_witness ?(max_tensor_size = 3) q =
   (* constituent attaining hsew *)

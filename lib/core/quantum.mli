@@ -28,8 +28,11 @@ val make_exn : (Rat.t * Cq.t) list -> t
 (** [terms q] lists the constituents. *)
 val terms : t -> term list
 
-(** [evaluate q g] is [|Ans(Q, g)| = Σ c_i · |Ans((H_i,X_i), g)|]. *)
-val evaluate : t -> Graph.t -> Rat.t
+(** [evaluate q g] is [|Ans(Q, g)| = Σ c_i · |Ans((H_i,X_i), g)|],
+    each constituent counted by {!Fast_count.count_answers} under
+    [budget].  A signed sum has no sound partial, so a trip escapes.
+    @raise Wlcq_robust.Budget.Exhausted when [budget] trips. *)
+val evaluate : ?budget:Wlcq_robust.Budget.t -> t -> Graph.t -> Rat.t
 
 (** [hsew q] is the hereditary semantic extension width: the maximum
     [sew] of a constituent (Definition 64). *)
@@ -46,11 +49,6 @@ val wl_dimension : t -> int
     connected with at least one free variable.
     @raise Invalid_argument on arity mismatch or empty input. *)
 val of_union : Cq.t list -> t
-
-(** [count_union_answers qs g] counts the union's answers directly (by
-    enumeration), for cross-validation against
-    [evaluate (of_union qs) g]. *)
-val count_union_answers : Cq.t list -> Graph.t -> int
 
 (** [conjoin q1 q2] is the conjunction: the two queries glued on their
     free variables (positionally).  Exposed for tests. *)
@@ -71,6 +69,16 @@ val injective_star : int -> t
     {!injective_star}. *)
 val injective_expansion : Cq.t -> t
 
+(** [count_injective_answers q g] counts the answers of [q] in [g]
+    that are injective on [X]: the Möbius sum [Σ_ρ μ(ρ) · |Ans(q/ρ, g)|]
+    of {!injective_expansion}, each term counted by
+    {!Fast_count.count_answers} under [budget].  It takes any query
+    (disconnected, boolean, edges inside [X]) and does not normalise
+    the quotients: at most Bell(|X|) counts.
+    @raise Wlcq_robust.Budget.Exhausted when [budget] trips. *)
+val count_injective_answers :
+  ?budget:Wlcq_robust.Budget.t -> Cq.t -> Graph.t -> Wlcq_util.Bigint.t
+
 (** [with_free_negations q pairs] is the quantum query whose
     evaluation counts the answers of [q] additionally satisfying
     [¬E(x_a, x_b)] for each pair of free-variable {e positions} in
@@ -79,11 +87,6 @@ val injective_expansion : Cq.t -> t
     @raise Invalid_argument when a position is out of range or a pair
     is diagonal. *)
 val with_free_negations : Cq.t -> (int * int) list -> t
-
-(** [count_answers_with_negations q pairs g] counts the same set
-    directly (enumeration), for cross-validation. *)
-val count_answers_with_negations :
-  Cq.t -> (int * int) list -> Wlcq_graph.Graph.t -> int
 
 (** [lower_bound_witness ?max_tensor_size q] constructs the
     Corollary 5 lower bound: a pair of graphs that are

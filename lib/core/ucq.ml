@@ -27,8 +27,10 @@ let to_quantum u = Quantum.of_union u
 
 (* inclusion–exclusion has integer coefficients, so the sum is an
    integer *)
-let count_answers u g =
-  match Wlcq_util.Rat.to_bigint_opt (Quantum.evaluate (to_quantum u) g) with
+let count_answers ?budget u g =
+  match
+    Wlcq_util.Rat.to_bigint_opt (Quantum.evaluate ?budget (to_quantum u) g)
+  with
   | Some n -> n
   | None -> failwith "Ucq.count_answers: non-integral quantum evaluation"
 

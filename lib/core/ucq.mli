@@ -23,9 +23,10 @@ val disjuncts : t -> Cq.t list
 
 (** [count_answers u g] counts the union's answers through its
     quantum representation ({!to_quantum}), each constituent counted by
-    {!Fast_count.count_answers}.  {!Quantum.count_union_answers} is the
-    enumeration route to check it against. *)
-val count_answers : t -> Graph.t -> Wlcq_util.Bigint.t
+    {!Fast_count.count_answers} under [budget].
+    @raise Wlcq_robust.Budget.Exhausted when [budget] trips. *)
+val count_answers :
+  ?budget:Wlcq_robust.Budget.t -> t -> Graph.t -> Wlcq_util.Bigint.t
 
 (** [to_quantum u] is the inclusion–exclusion quantum representation. *)
 val to_quantum : t -> Quantum.t

@@ -263,9 +263,9 @@ let answers_via_interpolation ?budget ?(max_system = 64) q g =
       in
       let rhs = Array.of_list (Wlcq_hom.Td_count.count_many ?budget patterns g) in
       let nodes = Array.init n_hat (fun i -> Bigint.of_int (i + 1)) in
-      let coeffs = Wlcq_util.Linalg.vandermonde_solve nodes rhs in
-      let total = Array.fold_left Rat.add Rat.zero coeffs in
-      match Rat.to_bigint_opt total with
+      match
+        Rat.to_bigint_opt (Wlcq_util.Linalg.vandermonde_sum nodes rhs)
+      with
       | Some v -> v
       | None ->
         failwith

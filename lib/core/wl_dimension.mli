@@ -100,7 +100,9 @@ val separating_pair : ?max_z:int -> Cq.t -> (Graph.t * Graph.t) option
 (** [answers_via_interpolation q g] computes [|Ans(q, g)|] from the
     homomorphism counts [|Hom(F_ℓ(core), g)|], [ℓ = 1 .. n̂], by exact
     Vandermonde interpolation (Lemma 22 / Observation 23), where
-    [n̂ = |V(g)|^{|Y(core)|}].  [budget] is threaded into the core
+    [n̂ = |V(g)|^{|Y(core)|}].  Only the sum of the system's solution
+    is needed, so it is read off in closed form
+    ({!Wlcq_util.Linalg.vandermonde_sum}).  [budget] is threaded into the core
     minimisation and the batch homomorphism counts.
     @raise Invalid_argument when [n̂] exceeds [max_system] (default
     64).

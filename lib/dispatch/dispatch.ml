@@ -167,10 +167,9 @@ let choose_answers ~nx ~free_edges ~comps ~ng ~mg =
     Ans_packed
   end
 
-(* The parallelism decisions keep the engines' historical test-hook
-   contract: threshold 0 forces parallel, max_int forces sequential,
-   otherwise it is the minimum work/weight for fan-out.  The formulas
-   are byte-identical to the ones they replaced in Td_count/Kwl. *)
+(* The engines pass the table's dp/wl_parallel_min as [threshold]: 0
+   forces parallel, max_int forces sequential, otherwise it is the
+   minimum work/weight for fan-out. *)
 
 let dp_domains ~requested ~subtrees ~work ~threshold =
   let nd =

@@ -5,8 +5,8 @@
     of the packed machinery (decomposition, candidate pruning, packed
     key tables, worker domains) or run a direct algorithm whose setup is
     free.  Before this module the cutoffs lived as ad-hoc magic numbers
-    inside each engine ([Td_count.parallel_threshold],
-    [Kwl.parallel_threshold], [Dp_key.dense_bits], …).  They now live in
+    inside each engine (the DP and k-WL fan-out thresholds,
+    [Dp_key.dense_bits], …).  They now live in
     one auditable {!calibration} table, every decision goes through a
     function here, and every decision increments a [dispatch.*] Obs
     counter so mispredictions are observable in production
@@ -51,10 +51,12 @@ type calibration = {
           component search, costs about this many kernel steps *)
   dp_parallel_min : int;
       (** Σ_bags ng^arity at which the treewidth DP fans independent
-          root subtrees out to worker domains *)
+          root subtrees out to worker domains; [0] forces fan-out and
+          [max_int] forbids it *)
   wl_parallel_min : int;
       (** round weight (m · max_n · k) at which k-WL signature
-          computation fans out to worker domains *)
+          computation fans out to worker domains; [0] and [max_int]
+          as for [dp_parallel_min] *)
   wl_chunk : int;  (** k-WL tuples per parallel chunk *)
   dense_key_bits : int;
       (** packed DP tables switch from the dense flat array to the
@@ -140,18 +142,18 @@ val choose_answers :
   ans_choice
 
 (** [dp_domains ~requested ~subtrees ~work ~threshold]: worker-domain
-    count for the treewidth DP's root-subtree fan-out.  [threshold]
-    is the engine's test hook ([Td_count.parallel_threshold]): [0]
-    forces the parallel path, [max_int] forces sequential, anything
-    else is the minimum [work] for fan-out.  Returns [1] for a
-    sequential run. *)
+    count for the treewidth DP's root-subtree fan-out.  The engine
+    passes the table's [dp_parallel_min] as [threshold]: [0] forces
+    the parallel path, [max_int] forces sequential, anything else is
+    the minimum [work] for fan-out.  Returns [1] for a sequential
+    run. *)
 val dp_domains : requested:int -> subtrees:int -> work:int -> threshold:int -> int
 
 (** [wl_domains ~requested ~jobs ~weight ~threshold]: worker-domain
     count for a k-WL round of [jobs] dirty tuples and round weight
-    [weight = jobs · max_n · k].  Same [threshold] contract as
-    {!dp_domains} ([Kwl.parallel_threshold]); [0] also bypasses the
-    per-domain chunk cap. *)
+    [weight = jobs · max_n · k].  The engine passes the table's
+    [wl_parallel_min] as [threshold], with the contract of
+    {!dp_domains}; [0] also bypasses the per-domain chunk cap. *)
 val wl_domains : requested:int -> jobs:int -> weight:int -> threshold:int -> int
 
 (** [dense_fits ~bits ~cap]: store a packed DP table with a [bits]-wide

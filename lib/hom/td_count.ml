@@ -114,15 +114,6 @@ let make_candidates ?candidates ~work h g =
 (* Packed engine.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Work-size threshold below which the DP stays sequential, mirroring
-   Kwl.parallel_threshold: 0 forces parallel fan-out, max_int forces
-   sequential (the differential tests compare both paths byte for
-   byte). *)
-(* lint: domain-local written by the test harness / benchmarks before a
-   run and read once per run by the driver domain before any worker is
-   spawned; worker domains never touch it. *)
-let parallel_threshold = ref (1 lsl 15)
-
 (* Saturating Σ_t n^|bag_t|, capped at 2^30 — only compared against the
    threshold, so saturation is harmless. *)
 let work_estimate bags ng =
@@ -295,7 +286,7 @@ let run_packed ~budget d h g cand =
       ~requested:(Domain.recommended_domain_count ())
       ~subtrees:(Array.length kids)
       ~work:(work_estimate bags ng)
-      ~threshold:!parallel_threshold
+      ~threshold:(Dispatch.calibration ()).Dispatch.dp_parallel_min
   in
   let on = Obs.enabled () in
   if nd <= 1 then begin

@@ -12,9 +12,10 @@
     The DP runs on flat sparse tables keyed by packed bag assignments
     ({!Dp_key}), with an int63-with-overflow-promotion arithmetic fast
     path ({!Wlcq_util.Count}), arc-consistency candidate pruning, and
-    parallel processing of independent decomposition subtrees
-    ({!parallel_threshold}); {!Wlcq_dispatch.Dispatch} sends tiny
-    instances to {!Brute} instead.  The original int-list/Bigint engine
+    parallel processing of independent decomposition subtrees (from
+    the calibration table's [dp_parallel_min] work up);
+    {!Wlcq_dispatch.Dispatch} sends tiny instances to {!Brute}
+    instead.  The original int-list/Bigint engine
     lives on in the test suite as the differential oracle.
 
     All entry points accept [?candidates] restricting the image of each
@@ -85,9 +86,3 @@ val count_many :
   ?budget:Budget.t ->
   ?candidates:(int -> Wlcq_util.Bitset.t) ->
   Graph.t list -> Graph.t -> Wlcq_util.Bigint.t list
-
-(** Work-size threshold below which the DP stays sequential (same
-    contract as [Kwl.parallel_threshold]: [0] forces parallel fan-out,
-    [max_int] forces sequential).  Test/benchmark hook; set it before a
-    run from the driver domain only. *)
-val parallel_threshold : int ref

@@ -28,6 +28,8 @@ type t = {
      trips — correctness lives in [tripped_cell]. *)
   (* lint: allow R3 benign racy tick counter, trip state is the Atomic next to it *)
   mutable ticks : int;
+  (* lint: allow R3 benign racy heap-sample counter, a skew only moves the next sample *)
+  mutable heap_polls : int;
 }
 
 let tick_interval = 1024
@@ -41,6 +43,7 @@ let unlimited =
     cancel = None;
     tripped_cell = Atomic.make None;
     ticks = 0;
+    heap_polls = 0;
   }
 
 let is_unlimited b = not b.limited
@@ -78,6 +81,7 @@ let create ?deadline_ms ?max_live_mb ?cancel () =
     cancel;
     tripped_cell = Atomic.make None;
     ticks = 0;
+    heap_polls = 0;
   }
 
 let tripped b = if b.limited then Atomic.get b.tripped_cell else None
@@ -104,6 +108,21 @@ let trip b r =
       Obs.journal_dump ~trigger:("budget." ^ reason_to_string r) ()
     end
 
+(* [Gc.quick_stat] allocates a full statistics record, about 25 times
+   the rest of a poll, so a ceiling samples the heap on a budget's first
+   poll and then every [heap_sample_interval]th (a power of two).  A
+   fork starts its own count, so it re-checks the ceiling at once. *)
+let heap_sample_interval = 64
+
+let heap_exceeded b =
+  b.max_heap_words <> max_int
+  && begin
+    let n = b.heap_polls in
+    b.heap_polls <- n + 1;
+    n land (heap_sample_interval - 1) = 0
+    && (Gc.quick_stat ()).Gc.heap_words > b.max_heap_words
+  end
+
 let poll b =
   if not b.limited then false
   else
@@ -122,10 +141,7 @@ let poll b =
           trip b Deadline;
           true
         end
-        else if
-          b.max_heap_words <> max_int
-          && (Gc.quick_stat ()).Gc.heap_words > b.max_heap_words
-        then begin
+        else if heap_exceeded b then begin
           trip b Memory;
           true
         end
@@ -160,22 +176,14 @@ let tick_check b =
   end
 
 (* A continuation budget for the next rung of a degradation ladder:
-   same limits and token, fresh trip latch and tick counter.  The trip
+   same limits and token, fresh trip latch and counters.  The trip
    *conditions* are re-evaluated from scratch — a passed deadline, a
    still-exceeded heap ceiling or a cancelled token re-trips at the
    fork's first poll — so forking only forgets the latch, never the
    budget.  Forking [unlimited] is [unlimited]. *)
 let fork b =
   if not b.limited then b
-  else
-    {
-      limited = true;
-      deadline_ns = b.deadline_ns;
-      max_heap_words = b.max_heap_words;
-      cancel = b.cancel;
-      tripped_cell = Atomic.make None;
-      ticks = 0;
-    }
+  else { b with tripped_cell = Atomic.make None; ticks = 0; heap_polls = 0 }
 
 let remaining_ns b =
   if b.deadline_ns = Int64.max_int then None

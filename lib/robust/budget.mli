@@ -65,6 +65,8 @@ val is_unlimited : t -> bool
 (** [create ()] builds a live budget.  [deadline_ms] is relative to
     the call, on the monotonic clock.  [max_live_mb] bounds the major
     heap ([Gc.quick_stat].heap_words, the live-word proxy), in MiB.
+    The heap is sampled on the budget's first poll and then on every
+    64th, since a sample costs about 25 times the rest of a poll.
     [cancel] attaches a cancellation token.  A live budget with no
     limit at all is still useful: it consults the {!Fault} layer, so
     the test suite can force every exhaustion path deterministically.

@@ -94,22 +94,47 @@ let mat_vec a x =
        !s)
     a
 
-let vandermonde_solve xs b =
-  let n = Array.length xs in
-  if Array.length b <> n then
-    failwith "Linalg.vandermonde_solve: dimension mismatch";
+let check_vandermonde xs b =
+  if Array.length b <> Array.length xs then
+    failwith "Linalg.check_vandermonde: dimension mismatch";
   Array.iteri
     (fun i x ->
-       if Bigint.is_zero x then
-         failwith "Linalg.vandermonde_solve: zero node";
+       if Bigint.is_zero x then failwith "Linalg.check_vandermonde: zero node";
        for j = 0 to i - 1 do
          if Bigint.equal x xs.(j) then
-           failwith "Linalg.vandermonde_solve: repeated node"
+           failwith "Linalg.check_vandermonde: repeated node"
        done)
-    xs;
+    xs
+
+let vandermonde_solve xs b =
+  let n = Array.length xs in
+  check_vandermonde xs b;
   (* Row i corresponds to exponent ℓ = i+1: a.(i).(j) = xs.(j)^(i+1). *)
   let a =
     Array.init n (fun i ->
         Array.init n (fun j -> Rat.of_bigint (Bigint.pow xs.(j) (i + 1))))
   in
   solve a (Array.map Rat.of_bigint b)
+
+(* Σ_j c_j without solving for the c_j.  Q(t) = Π_j (x_j − t) = Σ_ℓ q_ℓ t^ℓ
+   has q_0 = Π_j x_j ≠ 0, so P(t) = 1 − Q(t)/q_0 is 0 at 0 and 1 at
+   every node: Σ_j c_j = Σ_j c_j P(x_j) = −(Σ_{ℓ≥1} q_ℓ b_ℓ) / q_0, where
+   b_ℓ = Σ_j c_j x_j^ℓ is row ℓ − 1 of the system. *)
+let vandermonde_sum xs b =
+  let n = Array.length xs in
+  check_vandermonde xs b;
+  (* q.(l) is the coefficient of t^l, multiplied in one factor at a time *)
+  let q = Array.make (n + 1) Bigint.zero in
+  q.(0) <- Bigint.one;
+  Array.iteri
+    (fun i x ->
+       for l = i + 1 downto 0 do
+         let shifted = if l = 0 then Bigint.zero else q.(l - 1) in
+         q.(l) <- Bigint.sub (Bigint.mul x q.(l)) shifted
+       done)
+    xs;
+  let s = ref Bigint.zero in
+  for l = 1 to n do
+    s := Bigint.add !s (Bigint.mul q.(l) b.(l - 1))
+  done;
+  Rat.make (Bigint.neg !s) q.(0)

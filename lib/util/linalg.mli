@@ -27,5 +27,13 @@ val determinant : matrix -> Rat.t
     @raise Failure on repeated or zero nodes. *)
 val vandermonde_solve : Bigint.t array -> Bigint.t array -> Rat.t array
 
+(** [vandermonde_sum xs b] is [Σ_j c.(j)] for the solution [c] of
+    {!vandermonde_solve}[ xs b], in [O(n²)] exact operations instead of
+    an [O(n³)] elimination: with [Q(t) = Π_j (xs.(j) − t) = Σ_ℓ q_ℓ t^ℓ],
+    the sum is [−(Σ_{ℓ≥1} q_ℓ · b.(ℓ−1)) / q_0].  Lemma 22 needs only
+    this sum, the number of answers.
+    @raise Failure on repeated or zero nodes. *)
+val vandermonde_sum : Bigint.t array -> Bigint.t array -> Rat.t
+
 (** [mat_vec a x] is the matrix-vector product. *)
 val mat_vec : matrix -> Rat.t array -> Rat.t array

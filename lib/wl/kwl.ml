@@ -323,16 +323,6 @@ exception Histograms_diverged
    colouring and after every completed round with the number of
    colours in use; it may raise to stop refinement early (used by the
    equivalence oracle's histogram check). *)
-(* Test-only: the minimum round weight (m * max_n * k) at which
-   [compute_all] fans out to worker domains.  [0] forces the
-   [Domain.spawn] path even on tiny instances (the per-domain chunk cap
-   is bypassed too); [max_int] forces the sequential fallback.  The
-   differential tests flip it to drive both code paths over identical
-   inputs. *)
-(* lint: domain-local written by the test harness before a run and read
-   once per round by the driver domain; worker domains never touch it *)
-let parallel_threshold = ref (1 lsl 15)
-
 (* Budget protocol (mirrors Td_count.run_packed): the driver raises
    [Budget.Exhausted] only during the sequential initial colouring —
    before any round state exists.  Inside rounds, workers tick the
@@ -527,7 +517,8 @@ let run_engine_inner ?domains ~budget ~on_round k states =
     (* only fan out when the round is big enough to amortise spawns *)
     let nd =
       Dispatch.wl_domains ~requested:requested_domains ~jobs:m
-        ~weight:(m * max_n * k) ~threshold:!parallel_threshold
+        ~weight:(m * max_n * k)
+        ~threshold:(Dispatch.calibration ()).Dispatch.wl_parallel_min
     in
     if on then Obs.incr (if nd <= 1 then m_seq_rounds else m_par_rounds);
     if nd <= 1 then compute_range 0 m

@@ -125,16 +125,6 @@ val equivalent_budgeted :
   ?domains:int -> budget:Budget.t -> int -> Graph.t -> Graph.t ->
   (bool, Budget.reason) Outcome.t
 
-(** {2 Test hooks} *)
-
-(** Minimum round weight [m * max_n * k] at which the engine fans
-    signature computation out to worker domains.  [0] forces the
-    [Domain.spawn] path even on tiny instances (the per-domain chunk
-    cap is bypassed too); [max_int] forces the sequential fallback.
-    Default [1 lsl 15].  Only the differential tests should write it,
-    and they must restore the saved value. *)
-val parallel_threshold : int ref
-
 (** {2 Reference engine}
 
     The original list-based implementation, kept as the differential

@@ -53,6 +53,14 @@ let test_malformed_inputs () =
   check_malformed "negative deadline" "tw --graph clique:4 --deadline-ms=-3";
   check_malformed "zero memory ceiling" "tw --graph clique:4 --max-live-mb=0";
   check_malformed "bad kgraph" "kg-ans \"(x) := E0(x, y)\" --graph zzz";
+  (* the star reduction over enumerated injective answers is a test
+     oracle, not a shipped route *)
+  let code, stderr_text =
+    run_capture "domsets -k 2 --graph cycle:5 --via stars"
+  in
+  Alcotest.(check int) "domsets via stars: exit code" 2 code;
+  Alcotest.(check string) "domsets via stars: unknown method"
+    "error: unknown method \"stars\" (direct|quantum)\n" stderr_text;
   (* a tuple space the heap cannot serve (40^9 9-tuples) is a request
      too large to run: Kwl reports it on the error line instead of
      letting Out_of_memory escape as an uncaught exception (exit 125) *)
@@ -127,6 +135,57 @@ let test_ans_star3 () =
   check_ans "star3 on a dense G(80, 0.9)"
     (Printf.sprintf "ans %s --graph gnp:80,0.9,1 --deadline-ms 500" q_star3)
     "512000"
+
+(* [--injective] is the Möbius sum over identifications of the free
+   variables, each term counted by the Corollary 4 DP: milliseconds
+   where enumerating the |V(G)|^|X| assignments takes seconds, and the
+   enumeration's values on the queries the quantum expansion itself
+   excludes (disconnected, an isolated free variable, boolean) *)
+let test_ans_injective () =
+  check_ans "injective 3-free path on a 200-cycle"
+    "ans \"(x1, x2, x3) := exists y z . E(x1, y) & E(y, x2) & E(x2, z) & \
+     E(z, x3)\" --graph cycle:200 --injective --deadline-ms 2000"
+    "400";
+  check_ans "injective 4-star on G(40, 0.3)"
+    "ans \"(x1, x2, x3, x4) := exists y . E(x1, y) & E(x2, y) & E(x3, y) & \
+     E(x4, y)\" --graph gnp:40,0.3,1 --injective --deadline-ms 2000"
+    "779496";
+  check_ans "injective disconnected"
+    "ans \"(x1, x2) := exists y1 y2 . E(x1, y1) & E(x2, y2)\" --graph cycle:5 \
+     --injective"
+    "20";
+  check_ans "injective with an isolated free variable"
+    "ans \"(x1, x2, x3) := E(x1, x2)\" --graph petersen --injective" "240";
+  check_ans "injective boolean"
+    "ans \"() := exists y z . E(y, z)\" --graph cycle:5 --injective" "1"
+
+(* the quantum counts of [domsets --via quantum], [union --graph] and
+   [ans --injective] have no sound partial: a 1 ms deadline stops them
+   promptly with the trip reason and exit 3, also where the Möbius sum
+   has Bell(12) = 4,213,597 terms *)
+let check_prompt_trip name args =
+  let t0 = Unix.gettimeofday () in
+  let code, stderr_text = run_capture args in
+  let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Alcotest.(check int) (name ^ ": exit code") 3 code;
+  Alcotest.(check string) (name ^ ": trip reason") "exhausted: deadline\n"
+    stderr_text;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: answers within 100 ms (took %.1f)" name ms)
+    true (ms <= 100.0)
+
+let test_quantum_counts_deadline () =
+  check_prompt_trip "domsets via quantum"
+    "domsets -k 3 --graph cycle:80 --via quantum --deadline-ms 1";
+  check_prompt_trip "union count"
+    "union \"(x1, x2, x3) := exists y . E(x1, y) & E(x2, y) & E(x3, y) | \
+     E(x1, x2) & E(x2, x3)\" --graph gnp:150,0.5,1 --deadline-ms 1";
+  let xs = List.init 12 (fun i -> Printf.sprintf "x%d" (i + 1)) in
+  check_prompt_trip "injective 12-star"
+    (Printf.sprintf "ans \"(%s) := exists y . %s\" --graph cycle:20 \
+                     --injective --deadline-ms 1"
+       (String.concat ", " xs)
+       (String.concat " & " (List.map (Printf.sprintf "E(%s, y)") xs)))
 
 (* the heuristic bracket before the branch and bound polls its budget:
    a 1 ms deadline on a dense 400-vertex graph answers promptly with a
@@ -465,6 +524,8 @@ let () =
             test_kg_widths_budget;
           Alcotest.test_case "tw bracket honours its budget" `Quick
             test_tw_bracket_deadline;
+          Alcotest.test_case "quantum counts honour their budget" `Quick
+            test_quantum_counts_deadline;
         ] );
       ( "ans",
         [
@@ -472,6 +533,8 @@ let () =
             test_ans_past_enumeration;
           Alcotest.test_case "counts past max_int" `Quick test_ans_big_count;
           Alcotest.test_case "star3 past enumeration" `Quick test_ans_star3;
+          Alcotest.test_case "injective through the expansion" `Quick
+            test_ans_injective;
         ] );
       ( "observability",
         [

@@ -5,6 +5,7 @@ module Rat = Wlcq_util.Rat
 module Prng = Wlcq_util.Prng
 module Td_ref = Wlcq_oracle.Td_ref
 module Fast_ref = Wlcq_oracle.Fast_ref
+module Enum_ref = Wlcq_oracle.Enum_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -75,10 +76,28 @@ let test_count_answers_known () =
 let test_injective_answers () =
   (* injective S2 answers on C5 exclude the 5 diagonal pairs *)
   check_int "injective star answers" 10
-    (Cq.count_answers_injective star2 (Builders.cycle 5));
+    (Enum_ref.count_injective_answers star2 (Builders.cycle 5));
   check_bool "injective <= all" true
-    (Cq.count_answers_injective star3 (Builders.clique 4)
-     <= Cq.count_answers star3 (Builders.clique 4))
+    (Enum_ref.count_injective_answers star3 (Builders.clique 4)
+     <= Cq.count_answers star3 (Builders.clique 4));
+  (* the Möbius sum on Fast_count takes the queries the expansion's
+     preconditions exclude: disconnected, an isolated free variable,
+     boolean *)
+  List.iter
+    (fun (name, q, g, expected) ->
+       check_int (name ^ ": enumeration") expected
+         (Enum_ref.count_injective_answers q g);
+       check_string (name ^ ": Möbius sum") (string_of_int expected)
+         (Bigint.to_string (Quantum.count_injective_answers q g)))
+    [ ("star2 on C5", star2, Builders.cycle 5, 10);
+      ("disconnected",
+       parse "(x1, x2) := exists y1 y2 . E(x1, y1) & E(x2, y2)",
+       Builders.cycle 5, 20);
+      ("isolated free variable", parse "(x1, x2, x3) := E(x1, x2)",
+       Builders.petersen (), 240);
+      ("boolean", parse "() := exists y z . E(y, z)", Builders.cycle 5, 1);
+      ("boolean, no answer", parse "() := exists y z . E(y, z)",
+       Graph.empty 3, 0) ]
 
 let test_query_isomorphism () =
   (* same star with permuted labels *)
@@ -594,7 +613,7 @@ let test_union_inclusion_exclusion () =
   in
   List.iter
     (fun (qs, g) ->
-       let direct = Quantum.count_union_answers qs g in
+       let direct = Enum_ref.count_union_answers qs g in
        let quantum = Quantum.evaluate (Quantum.of_union qs) g in
        check_bool "UCQ inclusion-exclusion" true
          (Rat.equal quantum (Rat.of_int direct)))
@@ -616,7 +635,7 @@ let test_injective_star_quantum () =
        List.iter
          (fun k ->
             let quantum = Quantum.evaluate (Quantum.injective_star k) g in
-            let direct = Cq.count_answers_injective (Star.query k) g in
+            let direct = Enum_ref.count_injective_answers (Star.query k) g in
             check_bool "injective star quantum" true
               (Rat.equal quantum (Rat.of_int direct)))
          [ 1; 2; 3 ])
@@ -634,16 +653,20 @@ let test_injective_expansion_general () =
               (Rat.equal (Quantum.evaluate a g) (Quantum.evaluate b g)))
          [ Builders.cycle 5; Builders.clique 4 ])
     [ 1; 2; 3 ];
-  (* and on arbitrary queries it must match direct injective counting *)
+  (* and on arbitrary queries it must match direct injective counting,
+     as must the unnormalised Möbius sum *)
   List.iter
     (fun q ->
        List.iter
          (fun g ->
-            check_int "quantum injective = direct injective"
-              (Cq.count_answers_injective q g)
+            let direct = Enum_ref.count_injective_answers q g in
+            check_int "quantum injective = direct injective" direct
               (match Rat.to_bigint_opt (Quantum.evaluate (Quantum.injective_expansion q) g) with
                | Some v -> Option.value ~default:min_int (Bigint.to_int_opt v)
-               | None -> min_int))
+               | None -> min_int);
+            check_string "Möbius sum = direct injective"
+              (string_of_int direct)
+              (Bigint.to_string (Quantum.count_injective_answers q g)))
          [ Builders.cycle 5; Builders.petersen () ])
     [ edge_query; path2_query;
       parse "(x1, x2, x3) := E(x1, x2) & E(x2, x3)" ]
@@ -653,7 +676,7 @@ let test_free_negations () =
   let q = Quantum.with_free_negations star2 [ (0, 1) ] in
   List.iter
     (fun g ->
-       let direct = Quantum.count_answers_with_negations star2 [ (0, 1) ] g in
+       let direct = Enum_ref.count_answers_with_negations star2 [ (0, 1) ] g in
        check_bool "negation expansion = direct" true
          (Rat.equal (Quantum.evaluate q g) (Rat.of_int direct)))
     [ Builders.cycle 5; Builders.clique 4; Builders.petersen ();
@@ -661,7 +684,7 @@ let test_free_negations () =
   (* in K4 every pair is adjacent, so only the diagonal answers
      survive the negation *)
   check_int "K4 negated star" 4
-    (Quantum.count_answers_with_negations star2 [ (0, 1) ] (Builders.clique 4))
+    (Enum_ref.count_answers_with_negations star2 [ (0, 1) ] (Builders.clique 4))
 
 let negation_qcheck =
   [
@@ -674,7 +697,7 @@ let negation_qcheck =
          let q = Quantum.with_free_negations star2 [ (0, 1) ] in
          Rat.equal (Quantum.evaluate q g)
            (Rat.of_int
-              (Quantum.count_answers_with_negations star2 [ (0, 1) ] g)));
+              (Enum_ref.count_answers_with_negations star2 [ (0, 1) ] g)));
     QCheck.Test.make
       ~name:"injective expansion matches direct counting" ~count:25
       QCheck.(pair (int_range 2 5) (int_bound 100000))
@@ -684,7 +707,24 @@ let negation_qcheck =
          let q = parse "(x1, x2) := exists y . E(x1, y) & E(y, x2)" in
          Rat.equal
            (Quantum.evaluate (Quantum.injective_expansion q) g)
-           (Rat.of_int (Cq.count_answers_injective q g)));
+           (Rat.of_int (Enum_ref.count_injective_answers q g)));
+    QCheck.Test.make
+      ~name:"injective count matches enumeration on random queries"
+      ~count:60
+      QCheck.(triple (int_range 1 5) (int_range 2 6) (int_bound 100000))
+      (fun (nh, n, seed) ->
+         (* any query: disconnected, boolean, edges inside X and
+            isolated free variables all occur *)
+         let rng = Prng.create seed in
+         let h = Gen.gnp rng nh 0.5 in
+         let free =
+           List.filter (fun _ -> Prng.int rng 3 > 0) (List.init nh (fun v -> v))
+         in
+         let q = Cq.make h free in
+         let g = Gen.gnp rng n 0.5 in
+         String.equal
+           (string_of_int (Enum_ref.count_injective_answers q g))
+           (Bigint.to_string (Quantum.count_injective_answers q g)));
   ]
 
 let test_quantum_lower_bound_witness () =
@@ -738,7 +778,7 @@ let test_domset_three_ways () =
        List.iter
          (fun k ->
             let a = Domset.count_direct k g in
-            let b = Domset.count_via_stars k g in
+            let b = Enum_ref.count_domsets_via_stars k g in
             let c = Domset.count_via_quantum k g in
             check_bool "direct = stars" true (Bigint.equal a b);
             check_bool "direct = quantum" true (Bigint.equal a c))
@@ -767,7 +807,7 @@ let domset_qcheck =
          let rng = Prng.create seed in
          let g = Gen.gnp rng n 0.4 in
          let a = Domset.count_direct k g in
-         Bigint.equal a (Domset.count_via_stars k g)
+         Bigint.equal a (Enum_ref.count_domsets_via_stars k g)
          && Bigint.equal a (Domset.count_via_quantum k g));
     QCheck.Test.make ~name:"interpolation agrees on random star instances"
       ~count:15
@@ -927,7 +967,7 @@ let test_ucq_parse_and_count () =
        enumeration of the union *)
     List.iter
       (fun g ->
-         let direct = Quantum.count_union_answers (Ucq.disjuncts u) g in
+         let direct = Enum_ref.count_union_answers (Ucq.disjuncts u) g in
          check_bool "quantum = direct" true
            (Bigint.equal (Ucq.count_answers u g) (Bigint.of_int direct)))
       [ Builders.cycle 6; Builders.petersen (); Builders.clique 4 ]

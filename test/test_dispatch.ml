@@ -26,12 +26,11 @@ module Obs = Wlcq_obs.Obs
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Run [f] under a forced parallelism threshold, restoring the
-   default. *)
-let with_threshold r v f =
-  let saved = !r in
-  r := v;
-  Fun.protect ~finally:(fun () -> r := saved) f
+(* Run [f] with the k-WL fan-out minimum forced ([0] always fans out,
+   [max_int] never does), restoring the default table. *)
+let with_wl_parallel_min v f =
+  Steer.with_calibration
+    { Dispatch.default_calibration with Dispatch.wl_parallel_min = v } f
 
 let agree_on to_string results =
   match results with
@@ -89,9 +88,9 @@ let qcheck_td_seq_par_agree =
        let h, d = Fanout.star 3 in
        let g = Gen.gnp rng n 0.4 in
        let run threshold =
-         with_threshold Td_count.parallel_threshold threshold (fun () ->
-             Steer.with_calibration Steer.packed (fun () ->
-                 Td_count.count_with_decomposition d h g))
+         Steer.with_calibration
+           { Steer.packed with Dispatch.dp_parallel_min = threshold }
+           (fun () -> Td_count.count_with_decomposition d h g)
        in
        let seq = run max_int in
        let par, fanned = Fanout.fanned_out (fun () -> run 0) in
@@ -222,11 +221,11 @@ let qcheck_kwl_seq_par_agree =
        let g1 = Gen.gnp rng n 0.5 in
        let g2 = Gen.gnp rng n 0.5 in
        let seq =
-         with_threshold Kwl.parallel_threshold max_int (fun () ->
+         with_wl_parallel_min max_int (fun () ->
              Kwl.equivalent 2 g1 g2)
        in
        let par =
-         with_threshold Kwl.parallel_threshold 0 (fun () ->
+         with_wl_parallel_min 0 (fun () ->
              Kwl.equivalent 2 g1 g2)
        in
        Bool.equal seq par && Bool.equal seq (Kwl.equivalent_reference 2 g1 g2))
@@ -243,7 +242,7 @@ let test_kwl_cfi_pair_engines () =
        List.iter
          (fun threshold ->
             let got =
-              with_threshold Kwl.parallel_threshold threshold (fun () ->
+              with_wl_parallel_min threshold (fun () ->
                   Kwl.equivalent k g1 g2)
             in
             check_bool
@@ -344,7 +343,7 @@ let test_choose_answers_pinned () =
            ~mg:4950))
 
 let test_parallel_decisions_pinned () =
-  (* the threshold ref contract: max_int forces sequential, 0 forces
+  (* the threshold contract: max_int forces sequential, 0 forces
      parallel, otherwise work decides *)
   check_int "dp: forced sequential" 1
     (Dispatch.dp_domains ~requested:8 ~subtrees:4 ~work:1_000_000

@@ -4,6 +4,7 @@ module Nice_count = Wlcq_oracle.Nice_count
 module Td_ref = Wlcq_oracle.Td_ref
 module Fanout = Wlcq_oracle.Fanout
 module Steer = Wlcq_oracle.Steer
+module Dispatch = Wlcq_dispatch.Dispatch
 module Prng = Wlcq_util.Prng
 module Bigint = Wlcq_util.Bigint
 
@@ -296,12 +297,9 @@ let packed_vs_reference_qcheck =
          in
          let g = Gen.gnp rng ng 0.4 in
          let run threshold =
-           Td_count.parallel_threshold := threshold;
-           Fun.protect
-             ~finally:(fun () -> Td_count.parallel_threshold := 1 lsl 15)
-             (fun () ->
-                Steer.with_calibration Steer.packed (fun () ->
-                    Td_count.count_with_decomposition d h g))
+           Steer.with_calibration
+             { Steer.packed with Dispatch.dp_parallel_min = threshold }
+             (fun () -> Td_count.count_with_decomposition d h g)
          in
          let par, fanned = Fanout.fanned_out (fun () -> run 0) in
          let seq = run max_int in

@@ -25,6 +25,8 @@ module Inj = Wlcq_hom.Inj
 module Td_count = Wlcq_hom.Td_count
 module Nice_count = Wlcq_oracle.Nice_count
 module Fanout = Wlcq_oracle.Fanout
+module Steer = Wlcq_oracle.Steer
+module Dispatch = Wlcq_dispatch.Dispatch
 module Kwl = Wlcq_wl.Kwl
 module Cfi = Wlcq_cfi.Cfi
 module Cloning = Wlcq_cfi.Cloning
@@ -197,6 +199,22 @@ let test_tick_interval_poll () =
     Budget.tick b
   done;
   check_bool "tick polls at the interval" false (Budget.live b)
+
+let test_memory_ceiling () =
+  (* a 3 MB array held live puts the major heap over a 1 MB ceiling:
+     the first check samples the heap and trips, and so does the first
+     poll of a fork, which starts its own sample count *)
+  let held = Array.make (3 * 1024 * 1024 / (Sys.word_size / 8)) 0 in
+  let b = Budget.create ~max_live_mb:1 () in
+  (match Budget.check b with
+   | exception Budget.Exhausted r ->
+     Alcotest.check reason "first check trips on the heap" Budget.Memory r
+   | () -> Alcotest.fail "a heap over the ceiling must trip the first check");
+  let f = Budget.fork b in
+  check_bool "fork re-trips at its first poll" true (Budget.poll f);
+  Alcotest.(check (option reason)) "fork trip reason" (Some Budget.Memory)
+    (Budget.tripped f);
+  ignore (Sys.opaque_identity held)
 
 (* ------------------------------------------------------------------ *)
 (* Fault layer                                                         *)
@@ -403,10 +421,8 @@ let test_td_spawn_demotion () =
   else begin
     let h, d = Fanout.star 4 and g = Builders.clique 6 in
     let exact = Td_count.count h g in
-    let saved = !Td_count.parallel_threshold in
-    Td_count.parallel_threshold := 0;
-    Fun.protect
-      ~finally:(fun () -> Td_count.parallel_threshold := saved)
+    Steer.with_calibration
+      { Dispatch.default_calibration with Dispatch.dp_parallel_min = 0 }
       (fun () ->
          match
            with_fault ~seed:9 ~sites:[ Fault.Domain_spawn ] (fun () ->
@@ -450,10 +466,8 @@ let test_kwl_ladder () =
 let test_kwl_spawn_demotion () =
   let g1 = Builders.cycle 12 and g2 = Builders.path 12 in
   let plain = Kwl.run_many ~domains:2 2 [ g1; g2 ] in
-  let saved = !Kwl.parallel_threshold in
-  Kwl.parallel_threshold := 0;
-  Fun.protect
-    ~finally:(fun () -> Kwl.parallel_threshold := saved)
+  Steer.with_calibration
+    { Dispatch.default_calibration with Dispatch.wl_parallel_min = 0 }
     (fun () ->
        let demoted =
          with_fault ~seed:11 ~sites:[ Fault.Domain_spawn ] (fun () ->
@@ -537,10 +551,8 @@ let test_postmortem_spawn_demotion () =
   if Domain.recommended_domain_count () <= 1 then ()
   else begin
     let h, d = Fanout.star 4 and g = Builders.clique 6 in
-    let saved = !Td_count.parallel_threshold in
-    Td_count.parallel_threshold := 0;
-    Fun.protect
-      ~finally:(fun () -> Td_count.parallel_threshold := saved)
+    Steer.with_calibration
+      { Dispatch.default_calibration with Dispatch.dp_parallel_min = 0 }
       (fun () ->
          with_postmortem ~engine:"td_count.count_with_decomposition" (fun () ->
              match
@@ -837,6 +849,7 @@ let () =
           Alcotest.test_case "unlimited inert" `Quick test_unlimited_inert;
           Alcotest.test_case "fork" `Quick test_fork;
           Alcotest.test_case "tick interval" `Quick test_tick_interval_poll;
+          Alcotest.test_case "memory ceiling" `Quick test_memory_ceiling;
         ] );
       ( "fault",
         [

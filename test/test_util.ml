@@ -323,6 +323,24 @@ let linalg_qcheck =
          in
          let x = Linalg.vandermonde_solve xs b in
          Array.for_all2 Rat.equal x c);
+    QCheck.Test.make
+      ~name:"vandermonde_sum is the sum of vandermonde_solve" ~count:50
+      QCheck.(pair (list_of_size (Gen.int_range 1 8) (int_range (-30) 30))
+                (list_of_size (Gen.return 8) (int_range (-1000) 1000)))
+      (fun (raw, rhs) ->
+         (* distinct non-zero nodes of either sign, arbitrary right-hand
+            sides, so the sum need not be an integer *)
+         let xs =
+           Array.of_list
+             (List.map bi
+                (List.sort_uniq Int.compare
+                   (List.map (fun x -> if x = 0 then 31 else x) raw)))
+         in
+         let rhs = Array.of_list rhs in
+         let b = Array.init (Array.length xs) (fun i -> bi rhs.(i)) in
+         Rat.equal
+           (Array.fold_left Rat.add Rat.zero (Linalg.vandermonde_solve xs b))
+           (Linalg.vandermonde_sum xs b));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,7 @@
 open Wlcq_graph
 open Wlcq_wl
 module Prng = Wlcq_util.Prng
+module Dispatch = Wlcq_dispatch.Dispatch
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -158,19 +159,19 @@ let kwl_engine_qcheck =
       (fun (n, s1, s2) ->
          let g1 = Gen.gnp (Prng.create s1) n 0.5 in
          let g2 = Gen.gnp (Prng.create s2) n 0.5 in
-         let saved = !Kwl.parallel_threshold in
-         Fun.protect
-           ~finally:(fun () -> Kwl.parallel_threshold := saved)
-           (fun () ->
-              Kwl.parallel_threshold := max_int;
-              let q1, q2 = Kwl.run_pair ~domains:4 2 g1 g2 in
-              Kwl.parallel_threshold := 0;
-              let p1, p2 = Kwl.run_pair ~domains:4 2 g1 g2 in
-              let arr_eq = Wlcq_util.Ordering.equal_array Int.equal in
-              q1.Kwl.num_colours = p1.Kwl.num_colours
-              && q1.Kwl.rounds = p1.Kwl.rounds
-              && arr_eq q1.Kwl.colours p1.Kwl.colours
-              && arr_eq q2.Kwl.colours p2.Kwl.colours));
+         let run_pair min =
+           Dispatch.set_calibration
+             { Dispatch.default_calibration with Dispatch.wl_parallel_min = min };
+           Fun.protect ~finally:Dispatch.reset_calibration (fun () ->
+               Kwl.run_pair ~domains:4 2 g1 g2)
+         in
+         let q1, q2 = run_pair max_int in
+         let p1, p2 = run_pair 0 in
+         let arr_eq = Wlcq_util.Ordering.equal_array Int.equal in
+         q1.Kwl.num_colours = p1.Kwl.num_colours
+         && q1.Kwl.rounds = p1.Kwl.rounds
+         && arr_eq q1.Kwl.colours p1.Kwl.colours
+         && arr_eq q2.Kwl.colours p2.Kwl.colours);
   ]
 
 let test_kwl_monotone () =
