@@ -1037,12 +1037,11 @@ let f8 () =
   (* DP-table row: a Zipf-repeated pool of targets under a treewidth-2
      pattern.  The submission list is built once — 24 distinct permuted
      copies — and replayed per estimator rep, so the warm side measures
-     steady-state recurrence (address-memo + tier hits); dense G(30,.25)
-     sits above the canonicalisation gate, so these hits ride the
-     structural address.  Recognition of *fresh* relabellings is pinned
-     separately where the search cracks the instance: the n=13
-     decomposition row below, the timing-smoke first-pass assertion at
-     n=20, and the qcheck differentials in test_cache. *)
+     steady-state recurrence: every submission is labelled canonically
+     (both graphs, each time) and then hits the tier.  Recognition of
+     *fresh* relabellings is also pinned by the n=13 decomposition row
+     below, the timing-smoke first-pass assertion at n=20, and the
+     qcheck differentials in test_cache. *)
   let h5 = G.Builders.cycle 5 in
   let pool = Array.init 3 (fun i -> G.Gen.gnp (Prng.create (100 + i)) 30 0.25) in
   let submissions = List.init 24 (fun _ -> permuted (zipf_pick pool)) in
@@ -1108,8 +1107,8 @@ let f8 () =
   let timed_with ~armed f =
     if armed then begin
       Cache.set_capacity_mb 256;
-      (* the clear also resets the address memo, so every armed sample
-         repays canonicalisation — honest zero-repeat traffic *)
+      (* every armed sample starts from an empty tier and repays
+         canonicalisation — honest zero-repeat traffic *)
       Cache.clear ()
     end
     else Cache.set_capacity_mb 0;
@@ -1483,9 +1482,24 @@ let calibrate () =
          Printf.printf "%-24s %10d %10d %8.2f %9.3f ms %9.3f ms %8s\n" name
            kernel dp ratio (tk *. 1e3) (tp *. 1e3)
            (if tk < tp then "kernel" else "packed");
-         (ratio, tk, tp))
+         (ratio, tk, tp, kernel))
       (answer_ladder ())
   in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    if Array.length a = 0 then 0.0 else a.(Array.length a / 2)
+  in
+  (* the seconds per predicted kernel step, where the kernel's own work
+     (not its fixed cost) dominates *)
+  let kernel_step =
+    median
+      (List.filter_map
+         (fun (_, tk, _, kernel) ->
+            if kernel >= 1000 then Some (tk /. float_of_int kernel) else None)
+         rows)
+  in
+  let rows = List.map (fun (r, tk, tp, _) -> (r, tk, tp)) rows in
   (* the time a cutoff loses against always picking the faster engine *)
   let lost cut =
     List.fold_left
@@ -1500,10 +1514,72 @@ let calibrate () =
   in
   Printf.printf "time lost at the suggested cutoff: %.3f ms\n"
     (lost enum_max *. 1e3);
+  (* canonical labelling: seconds per search node per vertex and edge,
+     over graphs like the daemon's (random, cubic, cycle unions, CFI);
+     a node count is the least [limit] the search fits in *)
+  Printf.printf "\n%-24s %8s %10s %14s\n" "canon instance" "nodes" "t_canon"
+    "per node, n+m";
+  let nodes_of g =
+    let fits l =
+      match G.Iso.canonical_digest ~limit:l g with
+      | _ -> true
+      | exception G.Iso.Canonical_limit -> false
+    in
+    let rec widen hi = if fits hi then hi else widen (2 * hi) in
+    let rec narrow lo hi =
+      if lo >= hi then hi
+      else
+        let mid = (lo + hi) / 2 in
+        if fits mid then narrow lo mid else narrow (mid + 1) hi
+    in
+    let hi = widen 1 in
+    narrow (hi / 2) hi
+  in
+  let cycles rng n =
+    let rec go g left =
+      if left < 6 then G.Ops.disjoint_union g (G.Builders.cycle (max 3 left))
+      else
+        let len = 3 + Prng.int rng (left - 5) in
+        go (G.Ops.disjoint_union g (G.Builders.cycle len)) (left - len)
+    in
+    go (G.Graph.empty 0) n
+  in
+  let rng = Prng.create 47 in
+  let canon_graphs =
+    [ ("gnp12,0.35", G.Gen.gnp rng 12 0.35); ("gnp20,0.3", G.Gen.gnp rng 20 0.3);
+      ("gnp40,0.2", G.Gen.gnp rng 40 0.2);
+      ("cubic16", G.Gen.random_regular_ish rng 16 3);
+      ("cycles14", cycles rng 14); ("cycles24", cycles rng 24);
+      ("cfi-K4", (Cfi.build (G.Builders.clique 4) (Wlcq_util.Bitset.create 4)).Cfi.graph);
+      ("petersen", G.Builders.petersen ()) ]
+  in
+  let node_step =
+    median
+      (List.map
+         (fun (name, g) ->
+            let nodes = nodes_of g in
+            let size = G.Graph.num_vertices g + G.Graph.num_edges g in
+            let r = 200 in
+            let t =
+              snd
+                (wall_time_best (fun () ->
+                     for _ = 1 to r do ignore (G.Iso.canonical_digest g) done))
+              /. float_of_int r
+            in
+            let per = t /. float_of_int (nodes * size) in
+            Printf.printf "%-24s %8d %9.1f us %11.1f ns\n" name nodes (t *. 1e6)
+              (per *. 1e9);
+            per)
+         canon_graphs)
+  in
   let c = Dispatch.default_calibration in
   Printf.printf
     "\nsuggested calibration (measured crossovers, compiled-in defaults \
      in parentheses):\n";
+  Printf.printf "  canon_node_steps = %d  (%d)  (%.1f ns per node and n+m over \
+                 %.2f ns per kernel step)\n"
+    (int_of_float (Float.ceil (node_step /. Float.max kernel_step 1e-12)))
+    c.Dispatch.canon_node_steps (node_step *. 1e9) (kernel_step *. 1e9);
   Printf.printf "  brute_hom_max    = %d  (%d)\n" !brute_max
     c.Dispatch.brute_hom_max;
   Printf.printf "  enum_answers_max = %d  (%d)\n"
@@ -2209,6 +2285,45 @@ let timing_smoke () =
   Printf.printf
     "F9  daemon smoke: ping, contained error, treewidth, clean drain %s\n"
     (verdict f9_ok);
+  (* the answer store: a relabelled resubmission of a 2-WL decide is
+     answered by the cache tier, with the same verdict *)
+  let spec_of g =
+    String.concat " "
+      ((string_of_int (G.Graph.num_vertices g) ^ ";")
+       :: List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) (G.Graph.edges g))
+  in
+  let relabelled g =
+    let p = Array.init (G.Graph.num_vertices g) Fun.id in
+    Prng.shuffle (Prng.create 61) p;
+    spec_of (G.Ops.relabel g p)
+  in
+  let capacity = (Cache.stats ()).Cache.capacity_words in
+  let obs_was = Obs.enabled () in
+  Cache.set_capacity_mb 16;
+  Obs.set_enabled true;
+  let hits () = Obs.counter_value (Obs.counter "cache.hit") in
+  let decide g1 g2 =
+    Wlcq_serve.Exec.execute ~budget:Budget.unlimited
+      { Wire.id = "d"; deadline_ms = None; max_live_mb = None;
+        op = Wire.Decide { k = 2; g1; g2 } }
+  in
+  let g1 = G.Builders.shrikhande () and g2 = G.Builders.rook () in
+  let first = decide (spec_of g1) (spec_of g2) in
+  let h0 = hits () in
+  let again = decide (relabelled g2) (relabelled g1) in
+  let ok (r : Wire.response) =
+    match r.Wire.r_status with Wire.Ok_ -> true | _ -> false
+  in
+  let store_ok =
+    ok first && ok again
+    && String.equal first.Wire.r_value again.Wire.r_value
+    && hits () > h0
+  in
+  Obs.set_enabled obs_was;
+  Cache.set_capacity_words capacity;
+  record store_ok;
+  Printf.printf "F9  relabelled 2-WL decide answered by the tier: %s %s\n"
+    again.Wire.r_value (verdict store_ok);
   (* lint wall-time tripwire: the whole-tree interprocedural lint runs
      on every `dune runtest`, so a pathological slowdown (say the call
      graph going quadratic) would tax every build.  The 2 s ceiling is

@@ -418,8 +418,13 @@ let cfi_cmd =
     Printf.printf "chi(F, {0}): %d vertices, %d edges\n"
       (Wlcq_cfi.Cfi.num_vertices odd)
       (G.Graph.num_edges odd.Wlcq_cfi.Cfi.graph);
-    Printf.printf "isomorphic:  %b   (Lemma 26 predicts false)\n"
-      (G.Iso.isomorphic even.Wlcq_cfi.Cfi.graph odd.Wlcq_cfi.Cfi.graph);
+    (match
+       G.Iso.isomorphic ~budget even.Wlcq_cfi.Cfi.graph odd.Wlcq_cfi.Cfi.graph
+     with
+     | iso -> Printf.printf "isomorphic:  %b   (Lemma 26 predicts false)\n" iso
+     | exception Budget.Exhausted r ->
+       degraded := true;
+       Printf.printf "isomorphic:  exhausted (%s)\n" (Budget.reason_to_string r));
     (match check_k with
      | None -> ()
      | Some k -> (

@@ -2,13 +2,13 @@
 
    One shared, domain-safe, size-accounted LRU over string content
    addresses.  Keys are canonical-form digests (Iso.canonical_form)
-   when the bounded search cracks the input, so isomorphic inputs are
+   when the priced search cracks the input, so isomorphic inputs are
    the same key — counting-minimal representatives are unique up to
    isomorphism (Definition 9) and every artifact cached here
    (decompositions, colourings, hom counts) is isomorphism-invariant up
    to the permutation returned alongside the address.  Inputs past the
-   size gate or the node budget get a structural as-labelled digest:
-   coarser (relabelled copies miss) but equally sound and cheap.
+   node budget get a structural as-labelled digest: coarser (relabelled
+   copies miss) but equally sound and cheap.
 
    This module is the single sanctioned home for module-level memo state
    in lib/ (lint rule R10 bans ad-hoc memo tables elsewhere); everything
@@ -18,6 +18,7 @@ module Obs = Wlcq_obs.Obs
 module Graph = Wlcq_graph.Graph
 module Iso = Wlcq_graph.Iso
 module Perm = Wlcq_util.Perm
+module Dispatch = Wlcq_dispatch.Dispatch
 
 let word_bytes = Sys.word_size / 8
 let words_per_mb = 1024 * 1024 / word_bytes
@@ -183,28 +184,11 @@ let add st addr v =
           evict_until_fit ()
         end)
 
-module Graph_tbl = Hashtbl.Make (struct
-    type t = Graph.t
-
-    let equal = Graph.equal
-    let hash = Graph.hash
-  end)
-
-(* Structural memo in front of canonicalisation so resubmitting the
-   same (as-labelled) graph skips the I-R search entirely; bounded by
-   reset-on-full like the pre-tier decomposition memo was. *)
-(* lint: domain-local guarded by [lock] *)
-let addr_memo : (string * Perm.t) Graph_tbl.t = Graph_tbl.create 256
-let addr_memo_cap = 4096
-
 let clear () =
   with_lock (fun () ->
       while sentinel.nd_prev != sentinel do
         drop sentinel.nd_prev
-      done;
-      (* the address memo goes too, so post-clear traffic repays
-         canonicalisation — cold benchmarks stay honest *)
-      Graph_tbl.reset addr_memo)
+      done)
 
 let set_capacity_words w =
   with_lock (fun () ->
@@ -224,27 +208,6 @@ let stats () =
 (* Content addresses                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Node budget for the individualization–refinement search.  Inputs the
-   refinement cannot crack within this many nodes (CFI-style gadget
-   families, automorphism-rich grids, dense random blocks) fall back to
-   a structural as-labelled digest: still a correct key — identical
-   graphs collide — it merely stops recognising nontrivially relabelled
-   isomorphic copies.  The budget is deliberately small: a fallback
-   burns the whole search before giving up, and that burn is pure
-   overhead on every first touch of a hard graph, so cheap failure
-   matters more than cracking marginal instances (which would only be
-   re-recognised after a nontrivial relabelling — a rare event compared
-   to first-touch traffic). *)
-let canon_limit = 1_500
-
-(* Above this many vertices the search is not attempted at all: per-node
-   refinement cost scales with the graph, so even a failed search on a
-   large instance costs tens of milliseconds, and relabelled
-   resubmission of large hosts is not a workload we optimise for.
-   Paper-scale artifacts — query graphs, CFI companions, the instances
-   the F8 suite replays — sit well under the gate. *)
-let canon_max_vertices = 24
-
 (* The as-labelled address: a digest of the vertex count and the edge
    list, four bytes per number, so it costs one pass over the edges
    and one MD5 — about 1.4 µs on a 10-vertex graph. *)
@@ -257,27 +220,28 @@ let structural_address g =
       Buffer.add_int32_le buf (Int32.of_int v));
   "S:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let address g =
-  match with_lock (fun () -> Graph_tbl.find_opt addr_memo g) with
+let canonical_address ~nodes g =
+  if nodes <= 0 then None
+  else
+    match Iso.canonical_digest ~limit:nodes g with
+    | d, perm -> Some ("C:" ^ d, perm)
+    | exception Iso.Canonical_limit -> None
+
+(* The default budget prices the graph by size, as a graph-sized
+   search would be. *)
+let address ?nodes g =
+  let nodes =
+    match nodes with
+    | Some k -> k
+    | None ->
+      Dispatch.address_nodes Dispatch.Probe_graph ~n:(Graph.num_vertices g)
+        ~m:(Graph.num_edges g)
+  in
+  match canonical_address ~nodes g with
   | Some r -> r
   | None ->
-    let r =
-      if Graph.num_vertices g > canon_max_vertices then begin
-        Obs.incr m_canon_fallback;
-        (structural_address g, Perm.identity (Graph.num_vertices g))
-      end
-      else
-        match Iso.canonical_form ~limit:canon_limit g with
-        | c -> ("C:" ^ c.Iso.digest, c.Iso.perm)
-        | exception Iso.Canonical_limit ->
-          Obs.incr m_canon_fallback;
-          (structural_address g, Perm.identity (Graph.num_vertices g))
-    in
-    with_lock (fun () ->
-        if Graph_tbl.length addr_memo >= addr_memo_cap then
-          Graph_tbl.reset addr_memo;
-        Graph_tbl.replace addr_memo g r);
-    r
+    Obs.incr m_canon_fallback;
+    (structural_address g, Perm.identity (Graph.num_vertices g))
 
 (* ------------------------------------------------------------------ *)
 (* Warm-start snapshots                                                *)

@@ -57,15 +57,21 @@ type stats = { entries : int; words : int; capacity_words : int }
 
 val stats : unit -> stats
 
-(** [address g] is the content address of [g] plus the permutation
-    mapping caller vertex [v] to its canonical id.  Canonicalisation is
-    fronted by a bounded structural memo, so resubmitting the same
-    as-labelled graph is cheap.  When the individualization–refinement
-    search exceeds its node budget (CFI-style refinement-homogeneous
-    inputs) the address degrades to a structural digest with the
-    identity permutation: still correct, but relabelled isomorphic
-    copies no longer collide ([cache.canon_fallback] counts these). *)
-val address : Wlcq_graph.Graph.t -> string * Wlcq_util.Perm.t
+(** [canonical_address ~nodes g] is the canonical content address of
+    [g] plus the permutation mapping caller vertex [v] to its canonical
+    id, or [None] when the labelling search needs more than [nodes]
+    nodes ([nodes <= 0] declines at once).  Relabelled isomorphic copies
+    get the same address. *)
+val canonical_address :
+  nodes:int -> Wlcq_graph.Graph.t -> (string * Wlcq_util.Perm.t) option
+
+(** [address ?nodes g] is {!canonical_address}, falling back to
+    [(structural_address g, identity)] when the search runs out of
+    [nodes] (default: {!Wlcq_dispatch.Dispatch.address_nodes} prices
+    [g] by size, as [Probe_graph]).  The fallback is still a correct
+    key, but relabelled isomorphic copies no longer collide
+    ([cache.canon_fallback] counts these). *)
+val address : ?nodes:int -> Wlcq_graph.Graph.t -> string * Wlcq_util.Perm.t
 
 (** [structural_address g] is the as-labelled address of [g]: a digest
     of its vertex count and edge list, with no canonical labelling.

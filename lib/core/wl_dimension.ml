@@ -7,6 +7,7 @@ module Cloning = Wlcq_cfi.Cloning
 module Obs = Wlcq_obs.Obs
 module Budget = Wlcq_robust.Budget
 module Outcome = Wlcq_robust.Outcome
+module Dispatch = Wlcq_dispatch.Dispatch
 
 let m_cache_hits = Obs.counter "wl_dimension.cache_hits"
 let m_cache_misses = Obs.counter "wl_dimension.cache_misses"
@@ -185,8 +186,15 @@ let equivalent_cached k g1 g2 =
   if not (Wlcq_cache.Cache.enabled ()) then
     Wlcq_wl.Equivalence.equivalent k g1 g2
   else begin
-    let a1, _ = Wlcq_cache.Cache.address g1 in
-    let a2, _ = Wlcq_cache.Cache.address g2 in
+    let address g =
+      fst
+        (Wlcq_cache.Cache.address
+           ~nodes:
+             (Dispatch.address_nodes (Dispatch.Probe_decide k)
+                ~n:(Graph.num_vertices g) ~m:(Graph.num_edges g))
+           g)
+    in
+    let a1 = address g1 and a2 = address g2 in
     let a1, a2 = if String.compare a1 a2 <= 0 then (a1, a2) else (a2, a1) in
     let key = string_of_int k ^ "|" ^ a1 ^ "|" ^ a2 in
     match Wlcq_cache.Cache.find equivalent_store key with

@@ -15,6 +15,7 @@ type calibration = {
   wl_parallel_min : int;
   wl_chunk : int;
   dense_key_bits : int;
+  canon_node_steps : int;
 }
 
 let default_calibration =
@@ -29,6 +30,7 @@ let default_calibration =
     wl_parallel_min = 1 lsl 15;
     wl_chunk = 256;
     dense_key_bits = 16;
+    canon_node_steps = 2;
   }
 
 (* lint: domain-local written by the driver before a run, read-only in workers *)
@@ -96,6 +98,8 @@ let c_par = Wlcq_obs.Obs.counter "dispatch.chose_par"
 let c_seq = Wlcq_obs.Obs.counter "dispatch.chose_seq"
 let c_dense = Wlcq_obs.Obs.counter "dispatch.chose_dense"
 let c_sparse = Wlcq_obs.Obs.counter "dispatch.chose_sparse"
+let c_address = Wlcq_obs.Obs.counter "dispatch.chose_address"
+let c_compute = Wlcq_obs.Obs.counter "dispatch.chose_compute"
 
 (* ------------------------------------------------------------------ *)
 (* Decisions                                                           *)
@@ -200,3 +204,52 @@ let dense_fits ~bits ~cap =
   let fits = bits <= min cap !table.dense_key_bits in
   Wlcq_obs.Obs.incr (if fits then c_dense else c_sparse);
   fits
+
+(* ------------------------------------------------------------------ *)
+(* Canonical addressing                                                *)
+(* ------------------------------------------------------------------ *)
+
+type probe =
+  | Probe_count of (int * int) list
+  | Probe_decide of int
+  | Probe_hom of int
+  | Probe_graph
+
+(* Predicted engine work in kernel steps, the unit of [answer_costs]'s
+   kernel side; [None] for a decide the labeller cannot undercut.  A
+   k-WL round visits n^k tuples, n choices and k colours each. *)
+let probe_work probe ~n =
+  match probe with
+  | Probe_count costs ->
+    Some
+      (List.fold_left
+         (fun acc (kernel, dp) ->
+            sat_add acc (min kernel (sat_mul dp !table.enum_answers_max)))
+         0 costs)
+  | Probe_decide k ->
+    if k <= 1 then None else Some (sat_mul k (sat_pow n (k + 1)))
+  | Probe_hom work -> Some work
+  | Probe_graph -> Some (sat_pow 2 n)
+
+let address_nodes probe ~n ~m =
+  match probe_work probe ~n with
+  | None -> 0
+  | Some work ->
+    let node = max 1 (sat_mul !table.canon_node_steps (n + m)) in
+    (* less the labelling's fixed costs (the partition, the first
+       refinement, the leaf's words and their digest): about two
+       nodes *)
+    let nodes = (work / node) - 2 in
+    (match probe with
+     (* a k-WL verdict pays k * n^(k+1) per round: always worth a
+        probe *)
+     | Probe_decide _ -> max 1 nodes
+     (* a graph whose group is the full symmetric group needs
+        n(n+1)/2 nodes; never refuse a small graph what it needs *)
+     | Probe_graph -> max nodes ((n + 1) * (n + 1) / 2)
+     | Probe_count _ | Probe_hom _ -> max 0 nodes)
+
+let choose_address probe ~n ~m =
+  let nodes = address_nodes probe ~n ~m in
+  Wlcq_obs.Obs.incr (if nodes > 0 then c_address else c_compute);
+  nodes

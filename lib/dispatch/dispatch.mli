@@ -61,6 +61,11 @@ type calibration = {
   dense_key_bits : int;
       (** packed DP tables switch from the dense flat array to the
           sparse int table above this keyspace width (bits) *)
+  canon_node_steps : int;
+      (** one node of the canonical-labelling search costs about this
+          many kernel steps (the unit of {!answer_costs}'s kernel side)
+          per vertex and edge of the graph: the divisor that turns
+          predicted engine work into a node budget ({!address_nodes}) *)
 }
 
 (** The live table.  Mutable as a whole (a single ref holding an
@@ -161,3 +166,44 @@ val wl_domains : requested:int -> jobs:int -> weight:int -> threshold:int -> int
     the caller's arena pool; the effective width is
     [min cap (calibration ()).dense_key_bits]. *)
 val dense_fits : bits:int -> cap:int -> bool
+
+(** {2 Canonical addressing}
+
+    An answer count, a k-WL verdict, a homomorphism count and a
+    treewidth are isomorphism invariants, so a cache may answer them
+    under a canonical address ([Wlcq_cache.Cache]).  Labelling costs
+    search nodes; these functions say how many a request may spend. *)
+
+(** What the caller would compute without an address:
+    - [Probe_count costs]: answer counts on one host, {!answer_costs}'s
+      pair for each query;
+    - [Probe_decide k]: a k-WL verdict on a pair of graphs;
+    - [Probe_hom work]: a homomorphism count whose engine is predicted
+      at [work] steps ({!brute_cost});
+    - [Probe_graph]: a graph-sized search (exact treewidth), priced by
+      size alone at [2^n] steps, and never below the [(n+1)²/2] nodes
+      that a graph with the full symmetric group needs. *)
+type probe =
+  | Probe_count of (int * int) list
+  | Probe_decide of int
+  | Probe_hom of int
+  | Probe_graph
+
+(** [address_nodes probe ~n ~m] is the node budget for canonically
+    labelling a graph of [n] vertices and [m] edges before computing
+    [probe]: its predicted work (counts: the sum over the queries of the
+    cheaper engine's, the DP's units weighted by [enum_answers_max];
+    k-WL: one round's [k · n^(k+1)]) divided by the cost of one search
+    node, [canon_node_steps · (n + m)], less two nodes for the
+    labelling's fixed costs.  So a probe that runs out of nodes never
+    costs more than the engine it tried to skip.  [0] means compute
+    without addressing: always for a 1-WL verdict, whose colour
+    refinement is the labeller's own first step; never for k ≥ 2.  No
+    counter moves. *)
+val address_nodes : probe -> n:int -> m:int -> int
+
+(** [choose_address probe ~n ~m] is {!address_nodes} for a request
+    that may be answered from a cache, counted in
+    [dispatch.chose_address] (a positive budget) or
+    [dispatch.chose_compute] (a declined probe). *)
+val choose_address : probe -> n:int -> m:int -> int

@@ -1,313 +1,665 @@
-(* Colour refinement over a shared colour namespace, plus
-   refinement-pruned backtracking search for isomorphisms. *)
+(* Isomorphism, automorphisms and canonical labelling on one
+   individualisation–refinement (I/R) search, in the style of nauty and
+   Traces (McKay–Piperno, "Practical graph isomorphism II", 2014).
 
+   - An ordered partition lives in flat arrays: [lab] (the vertex at
+     each position), [pos] (its inverse), [cell] (the start of the cell
+     holding a position) and [cend] (the end of the cell starting at a
+     position).
+   - Refinement to the coarsest equitable partition drains a FIFO queue
+     of splitter cells.  A splitter counts, for every vertex, its
+     neighbours inside the splitter; the touched cells are split by
+     that count in position order, fragments by increasing count.  No
+     step looks at a vertex id, so isomorphic inputs with corresponding
+     colourings take identical steps, and the hash of those steps (the
+     trace) is an isomorphism invariant.
+   - The search individualises each vertex of the first non-singleton
+     cell in turn and refines again.  A discrete partition is a leaf, a
+     labelling, ranked by its trace sequence and then by its canonical
+     adjacency words; the least leaf is the canonical form.
+   - A leaf equal to the first or the best leaf yields an automorphism,
+     and the search returns to where the two paths part.  A child in
+     the same orbit as an explored sibling, under the automorphisms
+     found so far that fix the current path, is skipped. *)
+
+module Perm = Wlcq_util.Perm
 module Ordering = Wlcq_util.Ordering
+module Budget = Wlcq_robust.Budget
 
-(* One refinement round over several graphs at once.  Signatures pair
-   the old colour with the sorted multiset of neighbour colours; new
-   ids are assigned in the sorted order of signatures, which makes the
-   renaming canonical and comparable across graphs. *)
-let refine_round graphs colourings =
-  let signatures =
-    List.map2
-      (fun g colours ->
-         Array.init (Graph.num_vertices g) (fun v ->
-             let neigh =
-               Graph.fold_neighbours g v (fun w acc -> colours.(w) :: acc) []
-             in
-             (colours.(v), List.sort Int.compare neigh)))
-      graphs colourings
+exception Canonical_limit
+
+let mix = Ordering.hash_mix
+let bpw = Wlcq_util.Bitset.bits_per_word
+
+(* ------------------------------------------------------------------ *)
+(* Ordered partitions                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type part = {
+  n : int;
+  start : int array;  (* the neighbours of [v] are nbr.(start.(v) .. start.(v+1) - 1) *)
+  nbr : int array;
+  lab : int array;
+  pos : int array;
+  cell : int array;
+  cend : int array;
+  (* lint: domain-local per-call state: every search, refinement and
+     isomorphism test allocates its own partition *)
+  mutable cells : int;
+  count : int array;  (* per vertex: neighbours in the current splitter *)
+  wbuf : int array;  (* the current splitter's vertices *)
+  marked : int array;  (* per cell start: touched vertices at the cell's end *)
+  tcells : int array;  (* the starts of the touched cells *)
+  queue : int array;  (* circular FIFO of splitter cell starts *)
+  inq : bool array;
+  (* lint: domain-local per-call state, as [cells] *)
+  mutable qhead : int;
+  (* lint: domain-local per-call state, as [cells] *)
+  mutable qlen : int;
+}
+
+(* One partition over the disjoint union of [graphs], vertices numbered
+   consecutively. *)
+let make_part graphs =
+  let n = Array.fold_left (fun acc g -> acc + Graph.num_vertices g) 0 graphs in
+  let m2 = Array.fold_left (fun acc g -> acc + (2 * Graph.num_edges g)) 0 graphs in
+  let start = Array.make (n + 1) 0 and nbr = Array.make m2 0 in
+  let k = ref 0 and base = ref 0 in
+  Array.iter
+    (fun g ->
+       let b = !base in
+       (* lint: allow R7 one pass over the edges per search, before its
+          first node *)
+       for v = 0 to Graph.num_vertices g - 1 do
+         Graph.iter_neighbours g v (fun w ->
+             nbr.(!k) <- b + w;
+             incr k);
+         start.(b + v + 1) <- !k
+       done;
+       base := b + Graph.num_vertices g)
+    graphs;
+  let ints () = Array.make n 0 in
+  {
+    n; start; nbr; lab = ints (); pos = ints (); cell = ints ();
+    cend = ints (); cells = 0; count = ints (); wbuf = ints ();
+    marked = ints (); tcells = ints (); queue = ints ();
+    inq = Array.make n false; qhead = 0; qlen = 0;
+  }
+
+let enqueue p s =
+  if not p.inq.(s) then begin
+    let slot = p.qhead + p.qlen in
+    p.queue.(if slot >= p.n then slot - p.n else slot) <- s;
+    p.qlen <- p.qlen + 1;
+    p.inq.(s) <- true
+  end
+
+(* Sort [a.(s .. e-1)] by [key.(a.(i))], ascending: insertion sort in
+   place on short runs (most cells), [Array.sort] on a copy of long
+   ones that are not sorted already (a uniform colouring is). *)
+let sort_by key a s e =
+  if e - s <= 16 then
+    (* lint: allow R7 sorts one cell of one refinement; the search polls
+       its budget once per node, between refinements *)
+    for i = s + 1 to e - 1 do
+      let x = a.(i) in
+      let kx = key.(x) in
+      let j = ref (i - 1) in
+      while !j >= s && key.(a.(!j)) > kx do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let i = ref (s + 1) in
+    while !i < e && key.(a.(!i - 1)) <= key.(a.(!i)) do incr i done;
+    if !i < e then begin
+      let run = Array.sub a s (e - s) in
+      Array.sort (fun x y -> Int.compare key.(x) key.(y)) run;
+      Array.blit run 0 a s (e - s)
+    end
+  end
+
+(* The first partition: one cell per colour value, in increasing value
+   order, every cell queued as a splitter. *)
+let seed p colour =
+  let n = p.n in
+  for i = 0 to n - 1 do p.lab.(i) <- i done;
+  sort_by colour p.lab 0 n;
+  p.cells <- 0;
+  p.qhead <- 0;
+  p.qlen <- 0;
+  let i = ref 0 in
+  (* lint: allow R7 one pass over the vertices per search, before its
+     first node *)
+  while !i < n do
+    let c = colour.(p.lab.(!i)) in
+    let j = ref (!i + 1) in
+    while !j < n && colour.(p.lab.(!j)) = c do incr j done;
+    for q = !i to !j - 1 do
+      p.pos.(p.lab.(q)) <- q;
+      p.cell.(q) <- !i
+    done;
+    p.cend.(!i) <- !j;
+    p.cells <- p.cells + 1;
+    enqueue p !i;
+    i := !j
+  done
+
+(* Split the cell starting at [s] by [count], whose touched vertices
+   sit at its end; returns [h] mixed with the fragments' positions,
+   counts and sizes.  A queued cell queues all its fragments, any other
+   all but its first largest (Hopcroft).  Only the touched vertices
+   move, so a split costs their number, not the cell's size. *)
+let split p s h =
+  let e = p.cend.(s) in
+  let t0 = e - p.marked.(s) in
+  p.marked.(s) <- 0;
+  sort_by p.count p.lab t0 e;
+  for q = t0 to e - 1 do p.pos.(p.lab.(q)) <- q done;
+  let h =
+    if p.count.(p.lab.(s)) = p.count.(p.lab.(e - 1)) then h
+    else begin
+      let h = ref (mix h s) and big = ref s and bigsize = ref 0 in
+      let f = ref s in
+      (* lint: allow R7 one pass over the touched part of one cell *)
+      while !f < e do
+        let c = p.count.(p.lab.(!f)) in
+        (* the untouched vertices, count 0, form the first fragment *)
+        let j = ref (if !f < t0 then t0 else !f + 1) in
+        while !j < e && p.count.(p.lab.(!j)) = c do incr j done;
+        if !f > s then begin
+          for q = !f to !j - 1 do p.cell.(q) <- !f done;
+          p.cells <- p.cells + 1
+        end;
+        p.cend.(!f) <- !j;
+        if !j - !f > !bigsize then begin
+          big := !f;
+          bigsize := !j - !f
+        end;
+        h := mix (mix !h c) (!j - !f);
+        f := !j
+      done;
+      let queued = p.inq.(s) in
+      let f = ref s in
+      while !f < e do
+        if queued || !f <> !big then enqueue p !f;
+        f := p.cend.(!f)
+      done;
+      !h
+    end
   in
-  let all = List.concat_map Array.to_list signatures in
-  let distinct =
-    List.sort_uniq (Ordering.pair Int.compare Ordering.int_list) all
-  in
-  let ids = Hashtbl.create 64 in
-  List.iteri (fun i s -> Hashtbl.replace ids s i) distinct;
-  let colourings' =
-    List.map (Array.map (fun s -> Hashtbl.find ids s)) signatures
-  in
-  (colourings', List.length distinct)
-
-(* Normalise arbitrary int labels to 0..c-1 canonically (sorted label
-   order), shared across the list of colourings. *)
-let normalise colourings =
-  let all = List.concat_map Array.to_list colourings in
-  let distinct = List.sort_uniq Int.compare all in
-  let ids = Hashtbl.create 64 in
-  List.iteri (fun i c -> Hashtbl.replace ids c i) distinct;
-  (List.map (Array.map (Hashtbl.find ids)) colourings, List.length distinct)
-
-let refine_many graphs inits =
-  let colourings, c = normalise inits in
-  (* lint: allow R7 refinement stabilises in at most n rounds; budgeted
-     callers only reach it through the canonicaliser, whose own node
-     budget (Canonical_limit) bounds the whole search *)
-  let rec go colourings c =
-    let colourings', c' = refine_round graphs colourings in
-    if c' = c then (colourings, c) else go colourings' c'
-  in
-  go colourings c
-
-let refine g init =
-  match refine_many [ g ] [ init ] with
-  | [ colours ], c -> (colours, c)
-  | _ -> assert false
-
-let refine_pair g1 init1 g2 init2 =
-  match refine_many [ g1; g2 ] [ init1; init2 ] with
-  | [ c1; c2 ], c -> (c1, c2, c)
-  | _ -> assert false
-
-let histogram colours c =
-  let h = Array.make c 0 in
-  Array.iter (fun col -> h.(col) <- h.(col) + 1) colours;
+  for q = t0 to e - 1 do p.count.(p.lab.(q)) <- 0 done;
   h
 
-(* Backtracking search for an isomorphism g1 -> g2 refining the given
-   pins and respecting the given initial colourings.  Vertices of g1
-   are processed in a static order that prefers small colour classes;
-   each candidate must share the stable colour and be
-   adjacency-consistent with everything already mapped. *)
-let search ?init1 ?init2 g1 g2 pins =
+(* Count each vertex's neighbours in the splitter cell [w].  A vertex
+   touched for the first time moves into the touched tail of its cell;
+   returns the number of touched cells, listed in [tcells]. *)
+let count_from p w =
+  let len = p.cend.(w) - w in
+  (* the splitter's own vertices may move while it is read *)
+  Array.blit p.lab w p.wbuf 0 len;
+  let k = ref 0 in
+  (* lint: allow R7 one pass over the edges of one splitter cell *)
+  for i = 0 to len - 1 do
+    let u = p.wbuf.(i) in
+    for j = p.start.(u) to p.start.(u + 1) - 1 do
+      let v = p.nbr.(j) in
+      let c = p.count.(v) in
+      if c = 0 then begin
+        let s = p.cell.(p.pos.(v)) in
+        let m = p.marked.(s) in
+        if m = 0 then begin
+          p.tcells.(!k) <- s;
+          incr k
+        end;
+        let t = p.cend.(s) - 1 - m and at = p.pos.(v) in
+        let x = p.lab.(t) in
+        p.lab.(at) <- x;
+        p.pos.(x) <- at;
+        p.lab.(t) <- v;
+        p.pos.(v) <- t;
+        p.marked.(s) <- m + 1
+      end;
+      p.count.(v) <- c + 1
+    done
+  done;
+  !k
+
+(* Put the [k] touched cells of [tcells] in position order: by
+   insertion sort when few, by one walk over the partition when
+   many. *)
+let sort_cells p k =
+  if k * k > p.n then begin
+    let j = ref 0 and s = ref 0 in
+    while !s < p.n do
+      if p.marked.(!s) > 0 then begin
+        p.tcells.(!j) <- !s;
+        incr j
+      end;
+      s := p.cend.(!s)
+    done
+  end
+  else
+    (* lint: allow R7 insertion sort of k touched cells, k * k <= n *)
+    for i = 1 to k - 1 do
+      let x = p.tcells.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && p.tcells.(!j) > x do
+        p.tcells.(!j + 1) <- p.tcells.(!j);
+        decr j
+      done;
+      p.tcells.(!j + 1) <- x
+    done
+
+(* Refine to the coarsest equitable partition below the current one;
+   returns [h] mixed with every split and the final cell count: the
+   level's trace. *)
+let refine_part p h =
+  let h = ref h in
+  while p.qlen > 0 do
+    let w = p.queue.(p.qhead) in
+    p.qhead <- (if p.qhead + 1 = p.n then 0 else p.qhead + 1);
+    p.qlen <- p.qlen - 1;
+    p.inq.(w) <- false;
+    let k = count_from p w in
+    sort_cells p k;
+    for j = 0 to k - 1 do h := split p p.tcells.(j) !h done
+  done;
+  mix !h p.cells
+
+(* Make [v] a singleton cell at the front of its cell and queue it. *)
+let individualise p v =
+  let i = p.pos.(v) in
+  let s = p.cell.(i) in
+  let e = p.cend.(s) in
+  let u = p.lab.(s) in
+  p.lab.(i) <- u;
+  p.pos.(u) <- i;
+  p.lab.(s) <- v;
+  p.pos.(v) <- s;
+  p.cend.(s) <- s + 1;
+  p.cend.(s + 1) <- e;
+  for q = s + 1 to e - 1 do p.cell.(q) <- s + 1 done;
+  p.cells <- p.cells + 1;
+  enqueue p s
+
+(* A level's saved partition is [lab] then [cend]. *)
+let save p buf =
+  Array.blit p.lab 0 buf 0 p.n;
+  Array.blit p.cend 0 buf p.n p.n
+
+let restore p buf cells =
+  let n = p.n in
+  Array.blit buf 0 p.lab 0 n;
+  Array.blit buf n p.cend 0 n;
+  for i = 0 to n - 1 do p.pos.(p.lab.(i)) <- i done;
+  let s = ref 0 in
+  while !s < n do
+    let e = p.cend.(!s) in
+    for q = !s to e - 1 do p.cell.(q) <- !s done;
+    s := e
+  done;
+  p.cells <- cells
+
+(* Row [i] of the canonical adjacency holds the positions of the
+   neighbours of the vertex at position [i]. *)
+let leaf_words p nw buf =
+  Array.fill buf 0 (Array.length buf) 0;
+  for i = 0 to p.n - 1 do
+    let u = p.lab.(i) in
+    let row = i * nw in
+    for k = p.start.(u) to p.start.(u + 1) - 1 do
+      let j = p.pos.(p.nbr.(k)) in
+      let w = row + (j / bpw) in
+      buf.(w) <- buf.(w) lor (1 lsl (j mod bpw))
+    done
+  done
+
+let compare_words a b =
+  let len = Array.length a in
+  let i = ref 0 in
+  while !i < len && a.(!i) = b.(!i) do incr i done;
+  if !i = len then 0 else Int.compare a.(!i) b.(!i)
+
+(* ------------------------------------------------------------------ *)
+(* The search                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The least leaf: its labelling and canonical adjacency words, plus
+   the automorphisms the search found on the way (they
+   generate the automorphism group of the coloured graph). *)
+type leaf = {
+  l_lab : int array;
+  l_words : int array;
+  l_gens : Perm.t list;
+}
+
+(* Union-find over [buf.(o .. o+n-1)]. *)
+let rec find buf o v =
+  let u = buf.(o + v) in
+  if u = v then v
+  else begin
+    let w = buf.(o + u) in
+    buf.(o + v) <- w;
+    if w = u then u else find buf o w
+  end
+
+(* [search ~budget ~limit p] runs the I/R search from the seeded
+   partition [p].  Every node counts towards [limit] and ticks
+   [budget]; either running out raises [Canonical_limit]. *)
+let search ~budget ~limit p =
+  let n = p.n in
+  let nw = (n + bpw - 1) / bpw in
+  let ints k = Array.make k 0 in
+  let trace = ints (n + 1) and path = ints (n + 1) in
+  (* [eqf.(d)]: the path's traces equal the first leaf's down to [d];
+     [cmpb.(d)]: how its trace prefix compares with the best leaf's *)
+  let eqf = Array.make (n + 1) true and cmpb = ints (n + 1) in
+  let first_lab = ints n and first_words = ints (n * nw) in
+  let first_trace = ints (n + 1) and first_path = ints (n + 1) in
+  let best_lab = ints n and best_words = ref (ints (n * nw)) in
+  let best_trace = ints (n + 1) and best_path = ints (n + 1) in
+  let cur_words = ref (ints (n * nw)) in
+  let first_depth = ref (-1) and best_depth = ref (-1) in
+  let gens = ref [] and ngens = ref 0 in
+  (* per level, allocated on first visit: the saved partition (2n), the
+     orbit union-find (n) and the explored children (n) *)
+  let levels = Array.make (n + 1) [||] in
+  let orbit_gens = Array.make (n + 1) (-1) in
+  let nodes = ref 0 and jump = ref max_int in
+  let level d =
+    if Array.length levels.(d) = 0 then levels.(d) <- ints (4 * n);
+    levels.(d)
+  in
+  (* the orbits, under the found automorphisms that fix the first [d]
+     individualised vertices, in [buf]'s union-find *)
+  let orbits d buf =
+    if orbit_gens.(d) <> !ngens then begin
+      orbit_gens.(d) <- !ngens;
+      let o = 2 * n in
+      for v = 0 to n - 1 do buf.(o + v) <- v done;
+      List.iter
+        (fun (g : Perm.t) ->
+           let fixes = ref true in
+           for i = 0 to d - 1 do
+             if g.(path.(i)) <> path.(i) then fixes := false
+           done;
+           if !fixes then
+             for v = 0 to n - 1 do
+               let a = find buf o v and b = find buf o g.(v) in
+               if a < b then buf.(o + b) <- a else if b < a then buf.(o + a) <- b
+             done)
+        !gens
+    end
+  in
+  let seen_orbit d buf explored v =
+    explored > 0 && !ngens > 0
+    && begin
+      orbits d buf;
+      let o = 2 * n in
+      let r = find buf o v in
+      let hit = ref false in
+      for i = 0 to explored - 1 do
+        if find buf o buf.((3 * n) + i) = r then hit := true
+      done;
+      !hit
+    end
+  in
+  let automorphism ref_lab ref_path d =
+    let g = ints n in
+    for i = 0 to n - 1 do g.(ref_lab.(i)) <- p.lab.(i) done;
+    gens := g :: !gens;
+    incr ngens;
+    (* the current child where the two paths part maps onto the
+       reference's, already explored: resume at its parent *)
+    let j = ref 0 in
+    while !j < d && path.(!j) = ref_path.(!j) do incr j done;
+    jump := !j
+  in
+  let leaf d =
+    leaf_words p nw !cur_words;
+    if !first_depth < 0 then begin
+      first_depth := d;
+      best_depth := d;
+      Array.blit p.lab 0 first_lab 0 n;
+      Array.blit p.lab 0 best_lab 0 n;
+      Array.blit !cur_words 0 first_words 0 (n * nw);
+      Array.blit !cur_words 0 !best_words 0 (n * nw);
+      Array.blit trace 0 first_trace 0 (d + 1);
+      Array.blit trace 0 best_trace 0 (d + 1);
+      Array.blit path 0 first_path 0 d;
+      Array.blit path 0 best_path 0 d
+    end
+    else if eqf.(d) && d = !first_depth
+            && compare_words !cur_words first_words = 0 then
+      automorphism first_lab first_path d
+    else begin
+      let c =
+        if cmpb.(d) <> 0 then cmpb.(d)
+        else if d < !best_depth then -1
+        else compare_words !cur_words !best_words
+      in
+      if c = 0 then automorphism best_lab best_path d
+      else if c < 0 then begin
+        best_depth := d;
+        Array.blit p.lab 0 best_lab 0 n;
+        let w = !best_words in
+        best_words := !cur_words;
+        cur_words := w;
+        Array.blit trace 0 best_trace 0 (d + 1);
+        Array.blit path 0 best_path 0 d;
+        Array.fill cmpb 0 (d + 1) 0
+      end
+    end
+  in
+  let rec visit d =
+    incr nodes;
+    Budget.tick budget;
+    if !nodes > limit || not (Budget.live budget) then raise Canonical_limit;
+    if !first_depth >= 0 then begin
+      eqf.(d) <- eqf.(d - 1) && d <= !first_depth && first_trace.(d) = trace.(d);
+      cmpb.(d) <-
+        (if cmpb.(d - 1) <> 0 then cmpb.(d - 1)
+         else if d > !best_depth then 1
+         else Int.compare trace.(d) best_trace.(d))
+    end;
+    if !first_depth >= 0 && (not eqf.(d)) && cmpb.(d) > 0 then ()
+    else if p.cells = n then leaf d
+    else begin
+      let buf = level d in
+      save p buf;
+      orbit_gens.(d) <- -1;
+      let cells = p.cells in
+      let s = ref 0 in
+      while p.cend.(!s) - !s = 1 do s := p.cend.(!s) done;
+      let s = !s in
+      let e = p.cend.(s) in
+      let explored = ref 0 and i = ref s in
+      while !i < e && !jump >= d do
+        let v = buf.(!i) in
+        if not (seen_orbit d buf !explored v) then begin
+          if !explored > 0 then restore p buf cells;
+          buf.((3 * n) + !explored) <- v;
+          incr explored;
+          path.(d) <- v;
+          individualise p v;
+          trace.(d + 1) <- refine_part p (mix trace.(d) s);
+          visit (d + 1);
+          if !jump = d then jump := max_int
+        end;
+        incr i
+      done
+    end
+  in
+  trace.(0) <- refine_part p (mix 0x5eed n);
+  visit 0;
+  { l_lab = best_lab; l_words = !best_words; l_gens = !gens }
+
+(* The search on [g] seeded with [colour]. *)
+let run ?(budget = Budget.unlimited) ?(limit = max_int) g colour =
+  let p = make_part [| g |] in
+  seed p colour;
+  search ~budget ~limit p
+
+let uniform g = Array.make (Graph.num_vertices g) 0
+
+let inverse lab =
+  let perm = Array.make (Array.length lab) 0 in
+  Array.iteri (fun i v -> perm.(v) <- i) lab;
+  perm
+
+(* ------------------------------------------------------------------ *)
+(* Canonical labelling                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type canonical = {
+  canon : Graph.t;
+  perm : Perm.t;
+  digest : string;
+}
+
+(* The digest covers the vertex count, the colour ranks in canonical
+   order (a new rank wherever the colour changes along the leaf, which
+   lists the vertices by colour) and the canonical adjacency words,
+   eight bytes each. *)
+let digest_of colour (r : leaf) =
+  let n = Array.length r.l_lab in
+  let buf = Buffer.create (24 + (8 * (n + Array.length r.l_words))) in
+  Buffer.add_string buf "wlcq-canon-v2;";
+  Buffer.add_int64_le buf (Int64.of_int n);
+  let rank = ref 0 in
+  for i = 0 to n - 1 do
+    if i > 0 && colour.(r.l_lab.(i)) <> colour.(r.l_lab.(i - 1)) then incr rank;
+    Buffer.add_int64_le buf (Int64.of_int !rank)
+  done;
+  Array.iter (fun w -> Buffer.add_int64_le buf (Int64.of_int w)) r.l_words;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let colouring g = function
+  | None -> uniform g
+  | Some a ->
+    if Array.length a <> Graph.num_vertices g then
+      invalid_arg "Iso.canonical_form: colouring size mismatch";
+    a
+
+let canonical_form ?init ?limit g =
+  let colour = colouring g init in
+  let r = run ?limit g colour in
+  let perm = inverse r.l_lab in
+  { canon = Ops.relabel g perm; perm; digest = digest_of colour r }
+
+let canonical_digest ?limit g =
+  let colour = uniform g in
+  let r = run ?limit g colour in
+  (digest_of colour r, inverse r.l_lab)
+
+(* ------------------------------------------------------------------ *)
+(* Isomorphism                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Two coloured graphs are isomorphic exactly when their least leaves
+   carry the same adjacency words and the same colour values position
+   by position; then [lab2 ∘ lab1⁻¹] is an isomorphism. *)
+let matching ?budget g1 c1 g2 c2 =
   let n = Graph.num_vertices g1 in
   if n <> Graph.num_vertices g2 || Graph.num_edges g1 <> Graph.num_edges g2
   then None
   else begin
-    (* Seed the refinement with the initial colourings and the pins:
-       pinned vertices get unique matching colours so the refinement
-       respects them.  Stable colours refine the initial ones, so the
-       colour check inside the search enforces both. *)
-    let base1 = Option.value ~default:(Array.make n 0) init1 in
-    let base2 = Option.value ~default:(Array.make n 0) init2 in
-    let npins = List.length pins in
-    let init1 = Array.map (fun c -> ((c + 1) * (npins + 1))) base1 in
-    let init2 = Array.map (fun c -> ((c + 1) * (npins + 1))) base2 in
-    List.iteri
-      (fun i (u, v) ->
-         init1.(u) <- i + 1 - (npins + 1);
-         init2.(v) <- i + 1 - (npins + 1))
-      pins;
-    let c1, c2, c = refine_pair g1 init1 g2 init2 in
-    if histogram c1 c <> histogram c2 c then None
+    let r1 = run ?budget g1 c1 in
+    let r2 = run ?budget g2 c2 in
+    let same = ref (compare_words r1.l_words r2.l_words = 0) in
+    for i = 0 to n - 1 do
+      if c1.(r1.l_lab.(i)) <> c2.(r2.l_lab.(i)) then same := false
+    done;
+    if not !same then None
     else begin
-      let class_size = histogram c1 c in
-      let order =
-        List.sort
-          (fun u v ->
-             Ordering.int_pair
-               (class_size.(c1.(u)), u)
-               (class_size.(c1.(v)), v))
-          (Graph.vertices g1)
-      in
-      let order = Array.of_list order in
-      let image = Array.make n (-1) in
-      let used = Array.make n false in
-      let consistent u v =
-        c1.(u) = c2.(v)
-        && (not used.(v))
-        && Array.for_all
-          (fun u' ->
-             image.(u') < 0
-             || Graph.adjacent g1 u u' = Graph.adjacent g2 v image.(u'))
-          order
-      in
-      let pinned = Hashtbl.create 8 in
-      List.iter (fun (u, v) -> Hashtbl.replace pinned u v) pins;
-      let rec go i =
-        if i = n then true
-        else begin
-          let u = order.(i) in
-          let candidates =
-            match Hashtbl.find_opt pinned u with
-            | Some v -> [ v ]
-            | None -> Graph.vertices g2
-          in
-          List.exists
-            (fun v ->
-               consistent u v
-               && begin
-                 image.(u) <- v;
-                 used.(v) <- true;
-                 if go (i + 1) then true
-                 else begin
-                   image.(u) <- -1;
-                   used.(v) <- false;
-                   false
-                 end
-               end)
-            candidates
-        end
-      in
-      if go 0 then Some (Array.copy image) else None
+      let p = Array.make n 0 in
+      for i = 0 to n - 1 do p.(r1.l_lab.(i)) <- r2.l_lab.(i) done;
+      Some p
     end
   end
 
-let find_isomorphism_fixing g1 g2 pins = search g1 g2 pins
+let find_isomorphism g1 g2 = matching g1 (uniform g1) g2 (uniform g2)
 
-let find_isomorphism g1 g2 = search g1 g2 []
+let isomorphic ?(budget = Budget.unlimited) g1 g2 =
+  match matching ~budget g1 (uniform g1) g2 (uniform g2) with
+  | m -> Option.is_some m
+  | exception Canonical_limit ->
+    (* no node limit: only the budget trips the search *)
+    Budget.check budget;
+    raise Canonical_limit
+
+let find_isomorphism_fixing g1 g2 pins =
+  let c1 = uniform g1 and c2 = uniform g2 in
+  List.iteri
+    (fun i (u, v) ->
+       c1.(u) <- i + 1;
+       c2.(v) <- i + 1)
+    pins;
+  matching g1 c1 g2 c2
 
 let find_isomorphism_respecting g1 init1 g2 init2 =
   if Array.length init1 <> Graph.num_vertices g1
      || Array.length init2 <> Graph.num_vertices g2 then
     invalid_arg "Iso.find_isomorphism_respecting: colouring size mismatch";
-  search ~init1 ~init2 g1 g2 []
-
-let isomorphic g1 g2 = Option.is_some (find_isomorphism g1 g2)
+  matching g1 init1 g2 init2
 
 (* ------------------------------------------------------------------ *)
-(* Canonical labelling (individualization–refinement)                  *)
+(* Automorphisms and colour refinement                                 *)
 (* ------------------------------------------------------------------ *)
 
-exception Canonical_limit
-
-type canonical = {
-  canon : Graph.t;
-  perm : Wlcq_util.Perm.t;
-  digest : string;
-}
-
-(* Encode the canonical form byte-stably: vertex count, the canonical
-   initial colouring, then the sorted edge list of the canonical graph.
-   Isomorphic inputs (with corresponding initial colourings) reach the
-   same canonical graph and the same canonical colouring, hence the
-   same digest. *)
-let digest_of_canonical canon init_canon =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "wlcq-canon-v1;";
-  Buffer.add_string buf (string_of_int (Graph.num_vertices canon));
-  Buffer.add_char buf ';';
-  Array.iter
-    (fun c ->
-       Buffer.add_string buf (string_of_int c);
-       Buffer.add_char buf ',')
-    init_canon;
-  Buffer.add_char buf ';';
-  Graph.iter_edges canon (fun u v ->
-      Buffer.add_string buf (string_of_int u);
-      Buffer.add_char buf '-';
-      Buffer.add_string buf (string_of_int v);
-      Buffer.add_char buf ',');
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* Canonical form by individualization–refinement backtracking on top
-   of [refine].  Key structural facts that make the simple scheme
-   sound:
-
-   - [refine_round] assigns new colour ids in sorted signature order
-     with the old colour as the leading component, so the stable
-     colour order (a) is canonical across isomorphic inputs and
-     (b) refines the initial colour order.
-   - The target cell — the smallest colour id of size >= 2 — is
-     therefore an isomorphism-invariant choice, and individualizing
-     each of its members in turn explores corresponding branches on
-     corresponding inputs.
-   - At a discrete leaf the stable colouring IS a permutation; the
-     candidate minimising [Graph.compare] on the relabelled graph is
-     compared over an input-independent candidate set, so the minimum
-     is canonical.
-
-   Each visited search node costs one full refinement.  [limit] bounds
-   the node count: refinement-homogeneous inputs (CFI gadgets) can
-   force an exponential tree, and callers that only need a correct —
-   not isomorphism-complete — address catch [Canonical_limit] and fall
-   back to a structural digest. *)
-let canonical_form ?init ?(limit = max_int) g =
-  let n = Graph.num_vertices g in
-  let base =
-    match init with
-    | None -> Array.make n 0
-    | Some a ->
-      if Array.length a <> n then
-        invalid_arg "Iso.canonical_form: colouring size mismatch";
-      a
-  in
-  let init_norm =
-    match normalise [ base ] with [ a ], _ -> a | _ -> assert false
-  in
-  if n = 0 then
-    { canon = g; perm = [||]; digest = digest_of_canonical g [||] }
-  else begin
-    let nodes = ref 0 in
-    let best = ref None in
-    let consider colours =
-      let p = Array.copy colours in
-      let h = Ops.relabel g p in
-      match !best with
-      | Some (bh, _) when Graph.compare bh h <= 0 -> ()
-      | _ -> best := Some (h, p)
-    in
-    (* lint: allow R7 the I-R search runs under its own node budget:
-       every node increments [nodes] and trips [Canonical_limit], and
-       the cache address falls back to a structural digest on the trip
-       — threading the caller's Budget here would make content
-       addresses depend on how much budget was left *)
-    let rec go colours c =
-      incr nodes;
-      if !nodes > limit then raise Canonical_limit;
-      if c = n then consider colours
-      else begin
-        (* smallest colour id with a non-singleton class: canonical
-           because colour ids are ordered by refinement history *)
-        let hist = histogram colours c in
-        let target = ref 0 in
-        while hist.(!target) < 2 do incr target done;
-        let t = !target in
-        (* lint: allow R7 one pass over the target cell per search
-           node; bounded by the same Canonical_limit node budget *)
-        for v = 0 to n - 1 do
-          if colours.(v) = t then begin
-            (* split v below its classmates, preserving the relative
-               order of all other classes *)
-            let init' = Array.map (fun col -> (2 * col) + 1) colours in
-            init'.(v) <- 2 * t;
-            let colours', c' = refine g init' in
-            go colours' c'
-          end
-        done
-      end
-    in
-    let colours0, c0 = refine g init_norm in
-    go colours0 c0;
-    match !best with
-    | None -> assert false
-    | Some (h, p) ->
-      let init_canon = Array.make n 0 in
-      Array.iteri (fun v c -> init_canon.(p.(v)) <- c) init_norm;
-      { canon = h; perm = p; digest = digest_of_canonical h init_canon }
-  end
-
-(* Enumerate all automorphisms by exhaustive colour-pruned
-   backtracking.  Meant for query graphs (small), not data graphs. *)
+(* The group the search's automorphisms generate, closed breadth-first
+   and listed in lexicographic order. *)
 let automorphisms g =
   let n = Graph.num_vertices g in
-  let colours, _c = refine g (Array.make n 0) in
-  let image = Array.make n (-1) in
-  let used = Array.make n false in
-  let acc = ref [] in
-  let consistent u v =
-    colours.(u) = colours.(v)
-    && (not used.(v))
-    && (let ok = ref true in
-        for u' = 0 to n - 1 do
-          if image.(u') >= 0
-             && Graph.adjacent g u u' <> Graph.adjacent g v image.(u')
-          then ok := false
-        done;
-        !ok)
-  in
-  let rec go u =
-    if u = n then acc := Array.copy image :: !acc
-    else
-      for v = 0 to n - 1 do
-        if consistent u v then begin
-          image.(u) <- v;
-          used.(v) <- true;
-          go (u + 1);
-          image.(u) <- -1;
-          used.(v) <- false
-        end
-      done
-  in
-  go 0;
-  List.rev !acc
+  let gens = if n = 0 then [] else (run g (uniform g)).l_gens in
+  let seen = Ordering.Int_array_tbl.create 64 in
+  let queue = Queue.create () in
+  let id = Perm.identity n in
+  Ordering.Int_array_tbl.replace seen id ();
+  Queue.add id queue;
+  while not (Queue.is_empty queue) do
+    let x = Queue.pop queue in
+    List.iter
+      (fun s ->
+         let y = Perm.compose s x in
+         if not (Ordering.Int_array_tbl.mem seen y) then begin
+           Ordering.Int_array_tbl.replace seen y ();
+           Queue.add y queue
+         end)
+      gens
+  done;
+  List.sort Ordering.int_array
+    (Ordering.Int_array_tbl.fold (fun p () acc -> p :: acc) seen [])
+
+(* Colours are cell indices in position order. *)
+let colours_of p =
+  let col = Array.make p.n 0 in
+  let c = ref 0 and s = ref 0 in
+  while !s < p.n do
+    let e = p.cend.(!s) in
+    for i = !s to e - 1 do col.(p.lab.(i)) <- !c done;
+    incr c;
+    s := e
+  done;
+  (col, !c)
+
+let refine g init =
+  if Array.length init <> Graph.num_vertices g then
+    invalid_arg "Iso.refine: colouring size mismatch";
+  let p = make_part [| g |] in
+  seed p init;
+  ignore (refine_part p 0);
+  colours_of p
+
+let refine_pair g1 init1 g2 init2 =
+  let n1 = Graph.num_vertices g1 in
+  if Array.length init1 <> n1 || Array.length init2 <> Graph.num_vertices g2
+  then invalid_arg "Iso.refine_pair: colouring size mismatch";
+  let p = make_part [| g1; g2 |] in
+  seed p (Array.append init1 init2);
+  ignore (refine_part p 0);
+  let col, c = colours_of p in
+  (Array.sub col 0 n1, Array.sub col n1 (p.n - n1), c)

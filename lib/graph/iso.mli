@@ -6,20 +6,28 @@
     unique up to isomorphism), and the partial automorphisms
     [Aut(H,X)] of Definition 42.
 
-    The search is plain backtracking pruned by stable colour-refinement
-    colours, which handles the CFI-scale graphs used in the experiments
-    comfortably. *)
+    Every function here runs on one individualisation–refinement
+    search with automorphism pruning (McKay–Piperno, {e Practical graph
+    isomorphism II}, 2014): flat ordered partitions, equitable
+    refinement by a splitter queue, a trace per level, the first
+    non-singleton cell as target, and orbit pruning under the
+    automorphisms found as equal leaves.  Isomorphism compares two
+    canonical forms. *)
 
 (** [find_isomorphism g1 g2] is [Some p] with [p] mapping vertices of
     [g1] to vertices of [g2] such that [p] is an isomorphism, or
     [None]. *)
 val find_isomorphism : Graph.t -> Graph.t -> Wlcq_util.Perm.t option
 
-(** [isomorphic g1 g2] tests isomorphism. *)
-val isomorphic : Graph.t -> Graph.t -> bool
+(** [isomorphic ?budget g1 g2] tests isomorphism.  [budget] is ticked
+    once per search node.
+    @raise Wlcq_robust.Budget.Exhausted when [budget] trips. *)
+val isomorphic : ?budget:Wlcq_robust.Budget.t -> Graph.t -> Graph.t -> bool
 
-(** [automorphisms g] lists all automorphisms of [g] (intended for
-    small graphs — query graphs, not data graphs). *)
+(** [automorphisms g] lists all automorphisms of [g] in lexicographic
+    order: the group generated by the automorphisms the search finds,
+    closed breadth-first (intended for small groups — query graphs,
+    not data graphs). *)
 val automorphisms : Graph.t -> Wlcq_util.Perm.t list
 
 (** [find_isomorphism_fixing g1 g2 pins] finds an isomorphism subject
@@ -39,14 +47,17 @@ val find_isomorphism_respecting :
 (** [refine g init] runs colour refinement (1-WL) on [g] starting from
     the initial colouring [init] (any int labels) and returns the
     stable colouring with colours normalised to [0 .. c-1] in a
-    canonical order (by refinement history), together with [c].  Two
+    canonical order (the cell order of the search's partition, which
+    refines the order of the initial colours), together with [c].  Two
     graphs refined with matching initial colourings get comparable
     colour ids, so histograms can be compared across graphs when run
-    through {!refine_pair}. *)
+    through {!refine_pair}.
+    @raise Invalid_argument when [init] has the wrong length. *)
 val refine : Graph.t -> int array -> int array * int
 
 (** [refine_pair g1 init1 g2 init2] refines both graphs in the same
-    colour namespace and returns [(colours1, colours2, c)]. *)
+    colour namespace (one refinement of their disjoint union) and
+    returns [(colours1, colours2, c)]. *)
 val refine_pair :
   Graph.t -> int array -> Graph.t -> int array -> int array * int array * int
 
@@ -64,16 +75,24 @@ type canonical = {
   digest : string;
 }
 
-(** Raised by {!canonical_form} when the individualization–refinement
-    search exceeds its node budget (refinement-homogeneous inputs such
-    as CFI gadgets can force an exponential tree). *)
+(** Raised by {!canonical_form} and {!canonical_digest} when the
+    individualisation–refinement search exceeds its node budget
+    (refinement-homogeneous inputs such as CFI gadgets can force an
+    exponential tree). *)
 exception Canonical_limit
 
-(** [canonical_form ?init ?limit g] computes a canonical labelling by
-    individualization–refinement backtracking on top of {!refine}.
-    [init] seeds the refinement (default: uniform), and the canonical
-    form respects it: isomorphic inputs with corresponding colourings
-    get identical digests, inputs with different colourings do not
-    collide.  [limit] (default: unbounded) caps the number of visited
-    search nodes; @raise Canonical_limit when exceeded. *)
+(** [canonical_form ?init ?limit g] computes a canonical labelling: the
+    search's least leaf, ranked by its trace sequence and then by its
+    canonical adjacency words.  [init] seeds the first partition
+    (default: uniform), and the canonical form respects it: isomorphic
+    inputs with corresponding colourings get identical digests, inputs
+    with different colourings do not collide.  [limit] (default:
+    unbounded) caps the number of visited search nodes;
+    @raise Canonical_limit when exceeded. *)
 val canonical_form : ?init:int array -> ?limit:int -> Graph.t -> canonical
+
+(** [canonical_digest ?limit g] is [(digest, perm)] of
+    [canonical_form ?limit g] without building the canonical graph:
+    what a content address needs.
+    @raise Canonical_limit as {!canonical_form}. *)
+val canonical_digest : ?limit:int -> Graph.t -> string * Wlcq_util.Perm.t

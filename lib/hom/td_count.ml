@@ -434,11 +434,23 @@ let count_via_cache ~cacheable ~key compute =
       Cache.add count_store (Lazy.force key) v;
       v
 
+(* both addresses are priced by the count they would let us skip *)
 let count_key h g =
   lazy
-    (let ah, _ = Cache.address h in
-     let ag, _ = Cache.address g in
-     ah ^ "|" ^ ag)
+    (let probe =
+       Dispatch.Probe_hom
+         (Dispatch.brute_cost ~nh:(Graph.num_vertices h)
+            ~ng:(Graph.num_vertices g) ~mg:(Graph.num_edges g))
+     in
+     let address x =
+       fst
+         (Cache.address
+            ~nodes:
+              (Dispatch.address_nodes probe ~n:(Graph.num_vertices x)
+                 ~m:(Graph.num_edges x))
+            x)
+     in
+     address h ^ "|" ^ address g)
 
 let count_with_decomposition ?(budget = Budget.unlimited) ?candidates d h g =
   if not (Decomposition.is_valid_for d h) then

@@ -90,9 +90,6 @@ let disjoint a b =
 
 let equal a b = a.n = b.n && a.words = b.words
 
-(* lint: allow R7 a single bounded comparison of two word arrays;
-   budgeted callers only reach it through the canonicaliser's
-   node-budgeted search *)
 let compare a b =
   let c = Stdlib.compare a.n b.n in
   if c <> 0 then c else Stdlib.compare a.words b.words

@@ -21,9 +21,6 @@ let array cmp a1 a2 =
   let c = Int.compare n1 n2 in
   if c <> 0 then c
   else
-    (* lint: allow R7 one bounded pass over two equal-length arrays;
-       budgeted callers only reach it through the canonicaliser's
-       node-budgeted search *)
     let rec go i =
       if i = n1 then 0
       else

@@ -216,6 +216,36 @@ let contains needle s =
   in
   go 0
 
+(* [cfi] decides Lemma 26 on the twisted pair with the
+   individualisation–refinement search, which polls the command's
+   budget once per node: grid 3x3 answers at once, and the 5x5 grid's
+   pair (about 5 s unbudgeted) stops at a 1 ms deadline *)
+let test_cfi_budget () =
+  let timed args =
+    let t0 = Unix.gettimeofday () in
+    let code, out = run_stdout args in
+    (code, out, (Unix.gettimeofday () -. t0) *. 1e3)
+  in
+  let code, out, ms = timed "cfi --base grid:3,3" in
+  Alcotest.(check int) "grid 3x3: exit code" 0 code;
+  Alcotest.(check bool) "grid 3x3: not isomorphic" true
+    (contains "isomorphic:  false" out);
+  Alcotest.(check bool)
+    (Printf.sprintf "grid 3x3: answers within 5 s (took %.1f ms)" ms)
+    true (ms <= 5000.0);
+  List.iter
+    (fun (name, args, line) ->
+       let code, out, ms = timed args in
+       Alcotest.(check int) (name ^ ": exit code") 3 code;
+       Alcotest.(check bool) (name ^ ": labelled") true (contains line out);
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: answers within 100 ms (took %.1f)" name ms)
+         true (ms <= 100.0))
+    [ ("grid 5x5 under 1 ms", "cfi --base grid:5,5 --deadline-ms 1",
+       "isomorphic:  exhausted (deadline)");
+      ("K5 under 1 ms", "cfi --base clique:5 --check-wl 2 --deadline-ms 1",
+       "2-WL-equivalent: undecided   (exhausted: deadline)") ]
+
 (* kg-widths: a 7-leaf star has 7^7 endomorphisms to rule out before
    it is known to be counting minimal, about a second of search; a
    1 ms deadline must stop it with every exact measure reported as
@@ -524,6 +554,8 @@ let () =
             test_kg_widths_budget;
           Alcotest.test_case "tw bracket honours its budget" `Quick
             test_tw_bracket_deadline;
+          Alcotest.test_case "cfi finishes and honours its budget" `Quick
+            test_cfi_budget;
           Alcotest.test_case "quantum counts honour their budget" `Quick
             test_quantum_counts_deadline;
         ] );

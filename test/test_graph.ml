@@ -266,6 +266,167 @@ let iso_qcheck =
          a > 0 && fact mod a = 0);
   ]
 
+(* Differential against the searches [Iso] replaced ([Iso_ref]: static
+   backtracking, the unpruned canonical search, exhaustive automorphism
+   enumeration), on the families where the pruning matters. *)
+
+module Iso_ref = Wlcq_oracle.Iso_ref
+module Ordering = Wlcq_util.Ordering
+
+let rand_perm rng n =
+  let p = Array.init n Fun.id in
+  Prng.shuffle rng p;
+  p
+
+(* a uniform-ish simple cubic graph by the pairing model, retried until
+   simple ([n] even) *)
+let rec random_cubic rng n =
+  let stubs = Array.init (3 * n) (fun i -> i / 3) in
+  Prng.shuffle rng stubs;
+  let edges = List.init (3 * n / 2) (fun i -> (stubs.(2 * i), stubs.((2 * i) + 1))) in
+  let simple =
+    List.for_all (fun (u, v) -> u <> v) edges
+    && List.length (List.sort_uniq Ordering.int_pair
+                      (List.map (fun (u, v) -> (min u v, max u v)) edges))
+       = List.length edges
+  in
+  if simple then Graph.create n edges else random_cubic rng n
+
+let random_cycles rng n =
+  let rec go acc left =
+    if left < 3 then acc
+    else
+      let len = if left < 6 then left else 3 + Prng.int rng (left - 2) in
+      go (Ops.disjoint_union acc (Builders.cycle len)) (left - len)
+  in
+  go (Graph.empty 0) n
+
+(* [χ(F, ∅)], [χ(F, {w})] and [χ(F, {w'})] over a random connected base
+   [F] on [nb] vertices: the first differs in parity from the other
+   two, which share it (Lemma 26) *)
+let cfi_triple rng nb =
+  let base = Gen.random_connected rng nb 0.5 in
+  let build ws =
+    (Wlcq_cfi.Cfi.build base (Wlcq_util.Bitset.of_list nb ws)).Wlcq_cfi.Cfi.graph
+  in
+  (build [], build [ Prng.int rng nb ], build [ Prng.int rng nb ])
+
+let is_isomorphism g1 g2 p =
+  Wlcq_util.Perm.is_permutation p
+  && Array.length p = Graph.num_vertices g1
+  && Graph.num_edges g1 = Graph.num_edges g2
+  && List.for_all (fun (u, v) -> Graph.adjacent g2 p.(u) p.(v)) (Graph.edges g1)
+
+(* [Iso] and the oracle agree on [g1 ≅ g2], and a found map is an
+   isomorphism *)
+let agrees g1 g2 =
+  let found = Iso.find_isomorphism g1 g2 in
+  Bool.equal (Option.is_some found) (Iso_ref.isomorphic g1 g2)
+  && Bool.equal (Iso.isomorphic g1 g2) (Option.is_some found)
+  && (match found with None -> true | Some p -> is_isomorphism g1 g2 p)
+
+let family =
+  QCheck.make
+    ~print:(fun (k, n, s) -> Printf.sprintf "family=%d n=%d seed=%d" k n s)
+    QCheck.Gen.(triple (int_bound 4) (int_range 1 9) (int_bound 100_000))
+
+let iso_oracle_qcheck =
+  [
+    QCheck.Test.make ~name:"isomorphic agrees with the oracle" ~count:300 family
+      (fun (k, n, seed) ->
+         let rng = Prng.create seed in
+         let relabelled g = Ops.relabel g (rand_perm rng (Graph.num_vertices g)) in
+         match k with
+         | 0 ->
+           let p = 0.2 +. Prng.float rng *. 0.6 in
+           let g = Gen.gnp rng n p in
+           agrees g (Gen.gnp rng n p) && agrees g (relabelled g)
+         | 1 ->
+           let n = 2 * (2 + (n / 2)) in
+           let g = random_cubic rng n in
+           agrees g (random_cubic rng n) && agrees g (relabelled g)
+         | 2 ->
+           let n = 6 + n in
+           let g = random_cycles rng n in
+           agrees g (random_cycles rng n) && agrees g (relabelled g)
+         | _ ->
+           (* the static backtracking needs seconds on some opposite-
+              parity pairs over 5-vertex bases, so there the truth is
+              Lemma 26's parity criterion instead of the oracle *)
+           let nb = 3 + (n mod 3) in
+           let even, odd, odd' = cfi_triple rng nb in
+           if nb < 5 then
+             agrees even odd && agrees odd odd' && agrees odd (relabelled odd')
+             && agrees even (relabelled even)
+           else
+             let h = relabelled odd' in
+             (not (Iso.isomorphic even odd))
+             && (match Iso.find_isomorphism odd h with
+                 | None -> false
+                 | Some p -> is_isomorphism odd h p)
+             && Iso.isomorphic even (relabelled even));
+    QCheck.Test.make ~name:"pinned and coloured searches agree" ~count:200
+      QCheck.(pair (int_range 1 8) (int_bound 100_000))
+      (fun (n, seed) ->
+         let rng = Prng.create seed in
+         let g = Gen.gnp rng n 0.4 in
+         let h = Ops.relabel g (rand_perm rng n) in
+         let u = Prng.int rng n and v = Prng.int rng n in
+         let pinned = Iso.find_isomorphism_fixing g h [ (u, v) ] in
+         let ci = Array.init n (fun _ -> Prng.int rng 2) in
+         let cj = Array.init n (fun _ -> Prng.int rng 2) in
+         let coloured = Iso.find_isomorphism_respecting g ci h cj in
+         Bool.equal (Option.is_some pinned)
+           (Option.is_some (Iso_ref.find_isomorphism_fixing g h [ (u, v) ]))
+         && (match pinned with
+             | None -> true
+             | Some p -> p.(u) = v && is_isomorphism g h p)
+         && Bool.equal (Option.is_some coloured)
+              (Option.is_some (Iso_ref.find_isomorphism_respecting g ci h cj))
+         && (match coloured with
+             | None -> true
+             | Some p ->
+               is_isomorphism g h p
+               && Array.for_all Fun.id (Array.init n (fun x -> cj.(p.(x)) = ci.(x)))));
+    QCheck.Test.make ~name:"digest stable under relabelling and colours"
+      ~count:300 family (fun (k, n, seed) ->
+          let rng = Prng.create seed in
+          let g =
+            match k with
+            | 0 | 1 -> Gen.gnp rng n 0.4
+            | 2 -> random_cycles rng (6 + n)
+            | 3 -> random_cubic rng (2 * (2 + (n / 2)))
+            | _ ->
+              let _, odd, _ = cfi_triple rng (3 + (n mod 3)) in
+              odd
+          in
+          let nv = Graph.num_vertices g in
+          let init = Array.init nv (fun _ -> Prng.int rng 3) in
+          let p = rand_perm rng nv in
+          let h = Ops.relabel g p in
+          let init_h = Array.make nv 0 in
+          Array.iteri (fun v c -> init_h.(p.(v)) <- c) init;
+          let c = Iso.canonical_form ~init g and c' = Iso.canonical_form ~init:init_h h in
+          let ref_same =
+            let (a, ca) = Iso_ref.canonical_form ~init g
+            and (b, cb) = Iso_ref.canonical_form ~init:init_h h in
+            Graph.equal a b && Ordering.int_array ca cb = 0
+          in
+          String.equal c.Iso.digest c'.Iso.digest
+          && Graph.equal c.Iso.canon c'.Iso.canon
+          && Graph.equal (Ops.relabel g c.Iso.perm) c.Iso.canon
+          && ref_same
+          && String.equal (fst (Iso.canonical_digest g)) (fst (Iso.canonical_digest h)));
+    QCheck.Test.make ~name:"automorphism counts agree with enumeration"
+      ~count:200
+      QCheck.(triple (int_range 1 8) (float_range 0.1 0.9) (int_bound 100_000))
+      (fun (n, p, seed) ->
+         let g = Gen.gnp (Prng.create seed) n p in
+         let auts = Iso.automorphisms g in
+         List.length auts = List.length (Iso_ref.automorphisms g)
+         && List.for_all (fun a -> is_isomorphism g g a) auts);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Graph6                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -479,6 +640,7 @@ let () =
             test_refine_pair_distinguishes;
         ] );
       qsuite "iso-properties" iso_qcheck;
+      qsuite "iso-oracle" iso_oracle_qcheck;
       ( "graph6",
         [
           Alcotest.test_case "known strings" `Quick test_graph6_known;

@@ -830,6 +830,112 @@ let test_fault_storm () =
   check_bool "drained" false (Server.listening t)
 
 (* ------------------------------------------------------------------ *)
+(* The answer store                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Graph = Wlcq_graph.Graph
+module Prng = Wlcq_util.Prng
+module Cache = Wlcq_cache.Cache
+module Exec = Wlcq_serve.Exec
+
+let counter name = Obs.counter_value (Obs.counter name)
+
+(* [spec] under a fresh permutation, its edges shuffled and each edge's
+   endpoints in random order *)
+let relabel rng spec =
+  let g = Result.get_ok (Spec.parse spec) in
+  let n = Graph.num_vertices g in
+  let p = Array.init n Fun.id in
+  Prng.shuffle rng p;
+  let edges = Array.of_list (Graph.edges g) in
+  Prng.shuffle rng edges;
+  String.concat " "
+    ((string_of_int n ^ ";")
+     :: Array.to_list
+          (Array.map
+             (fun (u, v) ->
+                if Prng.bool rng then Printf.sprintf "%d-%d" p.(u) p.(v)
+                else Printf.sprintf "%d-%d" p.(v) p.(u))
+             edges))
+
+let exec ?budget op =
+  Exec.execute ~budget:(Option.value budget ~default:Budget.unlimited)
+    (req ~id:"x" op)
+
+let with_store f =
+  Cache.clear ();
+  Fun.protect ~finally:Cache.clear f
+
+let test_relabelled_resubmission () =
+  with_store (fun () ->
+      let rng = Prng.create 11 in
+      let same what op op' =
+        let r = exec op in
+        check_bool (what ^ ": exact") true (status_is Wire.Ok_ r);
+        let h0 = counter "cache.hit" in
+        let r' = exec op' in
+        check_bool (what ^ ": exact again") true (status_is Wire.Ok_ r');
+        check_string (what ^ ": same value") r.Wire.r_value r'.Wire.r_value;
+        check_bool (what ^ ": answered by the tier") true
+          (counter "cache.hit" > h0)
+      in
+      let g = "gnp:30,0.3,4" in
+      same "count"
+        (Wire.Count
+           { query = "(x1, x2, x3) := exists y . E(x1, y) & E(x2, y) & E(x3, y)";
+             graph = g })
+        (Wire.Count
+           { query = "(c, a, b) := exists hub . E(hub, b) & E(c, hub) & E(hub, a)";
+             graph = relabel rng g });
+      let g = "gnp:24,0.3,2" in
+      same "batch"
+        (Wire.Count_batch
+           { queries =
+               [ "(x1, x2) := exists y z . E(x1, y) & E(y, z) & E(z, x2)";
+                 "(x1, x2) := exists y . E(x1, y) & E(x2, y)" ];
+             graph = g })
+        (Wire.Count_batch
+           { queries =
+               [ "(b, a) := exists v w . E(w, a) & E(v, w) & E(b, v)";
+                 "(p, q) := exists m . E(m, q) & E(p, m)" ];
+             graph = relabel rng g });
+      let g1 = "gnp:16,0.3,1" and g2 = "gnp:16,0.3,2" in
+      same "2-WL decide"
+        (Wire.Decide { k = 2; g1; g2 })
+        (Wire.Decide { k = 2; g1 = relabel rng g2; g2 = relabel rng g1 });
+      let g = "gnp:16,0.35,3" in
+      same "treewidth" (Wire.Treewidth { graph = g })
+        (Wire.Treewidth { graph = relabel rng g }))
+
+let test_colour_refinement_unaddressed () =
+  with_store (fun () ->
+      let rng = Prng.create 12 in
+      let g = "gnp:20,0.3,5" in
+      let h0 = counter "cache.hit" and m0 = counter "cache.miss" in
+      let r = exec (Wire.Decide { k = 1; g1 = g; g2 = relabel rng g }) in
+      let r' = exec (Wire.Decide { k = 1; g1 = relabel rng g; g2 = g }) in
+      check_string "1-WL verdicts" "true,true"
+        (r.Wire.r_value ^ "," ^ r'.Wire.r_value);
+      check_bool "no cache hit" true (counter "cache.hit" = h0);
+      check_bool "no cache miss" true (counter "cache.miss" = m0))
+
+let test_exhausted_stores_nothing () =
+  with_store (fun () ->
+      let rng = Prng.create 13 in
+      let g1 = "cycle:40" and g2 = "cycle:40" in
+      let r =
+        exec ~budget:(Budget.create ~deadline_ms:1.0 ())
+          (Wire.Decide { k = 2; g1; g2 })
+      in
+      check_bool "1 ms cannot finish 2-WL on 40 vertices" false
+        (status_is Wire.Ok_ r);
+      let h0 = counter "cache.hit" and m0 = counter "cache.miss" in
+      let r' = exec (Wire.Decide { k = 2; g1 = relabel rng g1; g2 = relabel rng g2 }) in
+      check_bool "resubmission computed" true (status_is Wire.Ok_ r');
+      check_bool "resubmission missed" true
+        (counter "cache.hit" = h0 && counter "cache.miss" > m0))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -873,6 +979,12 @@ let () =
             test_unallocatable_decide;
           Alcotest.test_case "exact big counts past enumeration" `Quick
             test_count_exact_big;
+          Alcotest.test_case "relabelled resubmissions hit the store" `Quick
+            test_relabelled_resubmission;
+          Alcotest.test_case "1-WL decides are never addressed" `Quick
+            test_colour_refinement_unaddressed;
+          Alcotest.test_case "exhausted requests store nothing" `Quick
+            test_exhausted_stores_nothing;
         ] );
       ( "storm",
         [ Alcotest.test_case "500-fault storm, clean drain" `Slow
