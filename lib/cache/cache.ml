@@ -19,6 +19,7 @@ module Graph = Wlcq_graph.Graph
 module Iso = Wlcq_graph.Iso
 module Perm = Wlcq_util.Perm
 module Dispatch = Wlcq_dispatch.Dispatch
+module Budget = Wlcq_robust.Budget
 
 let word_bytes = Sys.word_size / 8
 let words_per_mb = 1024 * 1024 / word_bytes
@@ -145,18 +146,18 @@ let full_key st addr = st.s_name ^ "\x00" ^ addr
 (* hashtable slot + node record + key string, in words *)
 let entry_overhead key = 16 + ((String.length key + word_bytes - 1) / word_bytes)
 
-let find st addr =
+let find ?(count_miss = true) st addr =
   if not (enabled ()) then None
   else
     with_lock (fun () ->
         match Hashtbl.find_opt table (full_key st addr) with
         | None ->
-          Obs.incr m_miss;
+          if count_miss then Obs.incr m_miss;
           None
         | Some nd ->
           (match st.s_project nd.nd_value with
            | None ->
-             Obs.incr m_miss;
+             if count_miss then Obs.incr m_miss;
              None
            | Some v ->
              Obs.incr m_hit;
@@ -220,16 +221,17 @@ let structural_address g =
       Buffer.add_int32_le buf (Int32.of_int v));
   "S:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let canonical_address ~nodes g =
+let canonical_address ?budget ~nodes g =
   if nodes <= 0 then None
   else
-    match Iso.canonical_digest ~limit:nodes g with
+    match Iso.canonical_digest ?budget ~limit:nodes g with
     | d, perm -> Some ("C:" ^ d, perm)
     | exception Iso.Canonical_limit -> None
 
-(* The default budget prices the graph by size, as a graph-sized
-   search would be. *)
-let address ?nodes g =
+(* The default node budget prices the graph by size, as a graph-sized
+   search would be.  A budget trip raises rather than falling back, so
+   which address a graph gets never depends on the budget. *)
+let address ?(budget = Budget.unlimited) ?nodes g =
   let nodes =
     match nodes with
     | Some k -> k
@@ -237,9 +239,10 @@ let address ?nodes g =
       Dispatch.address_nodes Dispatch.Probe_graph ~n:(Graph.num_vertices g)
         ~m:(Graph.num_edges g)
   in
-  match canonical_address ~nodes g with
+  match canonical_address ~budget ~nodes g with
   | Some r -> r
   | None ->
+    Budget.check budget;
     Obs.incr m_canon_fallback;
     (structural_address g, Perm.identity (Graph.num_vertices g))
 

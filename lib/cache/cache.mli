@@ -35,8 +35,11 @@ val store : name:string -> words:('a -> int) -> unit -> 'a store
     nothing. *)
 val enabled : unit -> bool
 
-(** [find st addr] looks up and refreshes (MRU) an entry. *)
-val find : 'a store -> string -> 'a option
+(** [find ?count_miss st addr] looks up and refreshes (MRU) an entry.
+    [~count_miss:false] leaves [cache.miss] alone on a miss: for the
+    first probe of a lookup that tries a second key next, so that one
+    lookup counts once. *)
+val find : ?count_miss:bool -> 'a store -> string -> 'a option
 
 (** [add st addr v] inserts [v], evicting LRU entries as needed.  An
     entry larger than the whole capacity is not inserted. *)
@@ -57,21 +60,27 @@ type stats = { entries : int; words : int; capacity_words : int }
 
 val stats : unit -> stats
 
-(** [canonical_address ~nodes g] is the canonical content address of
-    [g] plus the permutation mapping caller vertex [v] to its canonical
-    id, or [None] when the labelling search needs more than [nodes]
-    nodes ([nodes <= 0] declines at once).  Relabelled isomorphic copies
+(** [canonical_address ?budget ~nodes g] is the canonical content
+    address of [g] plus the permutation mapping caller vertex [v] to
+    its canonical id, or [None] when the labelling search needs more
+    than [nodes] nodes ([nodes <= 0] declines at once) or [budget]
+    (polled once per search node) trips.  Relabelled isomorphic copies
     get the same address. *)
 val canonical_address :
-  nodes:int -> Wlcq_graph.Graph.t -> (string * Wlcq_util.Perm.t) option
+  ?budget:Wlcq_robust.Budget.t -> nodes:int -> Wlcq_graph.Graph.t ->
+  (string * Wlcq_util.Perm.t) option
 
-(** [address ?nodes g] is {!canonical_address}, falling back to
+(** [address ?budget ?nodes g] is {!canonical_address}, falling back to
     [(structural_address g, identity)] when the search runs out of
     [nodes] (default: {!Wlcq_dispatch.Dispatch.address_nodes} prices
     [g] by size, as [Probe_graph]).  The fallback is still a correct
     key, but relabelled isomorphic copies no longer collide
-    ([cache.canon_fallback] counts these). *)
-val address : ?nodes:int -> Wlcq_graph.Graph.t -> string * Wlcq_util.Perm.t
+    ([cache.canon_fallback] counts these).
+    @raise Wlcq_robust.Budget.Exhausted when [budget] trips during the
+    labelling: the address never depends on the budget. *)
+val address :
+  ?budget:Wlcq_robust.Budget.t -> ?nodes:int -> Wlcq_graph.Graph.t ->
+  string * Wlcq_util.Perm.t
 
 (** [structural_address g] is the as-labelled address of [g]: a digest
     of its vertex count and edge list, with no canonical labelling.

@@ -155,8 +155,8 @@ let relabel q p =
   let free = Bitset.to_list q.free in
   make graph (List.map (fun x -> p.(x)) free)
 
-let normal_form ?limit q =
-  let c = Iso.canonical_form ~init:(colours_of q) ?limit q.graph in
+let normal_form ?budget ?limit q =
+  let c = Iso.canonical_form ?budget ~init:(colours_of q) ?limit q.graph in
   let free = List.map (fun x -> c.Iso.perm.(x)) (Bitset.to_list q.free) in
   (make c.Iso.canon free, c.Iso.perm, c.Iso.digest)
 

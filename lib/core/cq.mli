@@ -87,10 +87,13 @@ val relabel : t -> Wlcq_util.Perm.t -> t
     isomorphism class (free variables respected, Definition 9):
     [(nf, p, digest)] with [nf = relabel q p] the canonically labelled
     query and [digest] a stable content address — isomorphic queries
-    get identical [nf] and [digest].  [limit] bounds the underlying
-    individualization–refinement search
+    get identical [nf] and [digest], and queries that differ in which
+    variables are free do not.  [limit] and [budget] bound the
+    underlying individualization–refinement search
     ({!Wlcq_graph.Iso.canonical_form}). *)
-val normal_form : ?limit:int -> t -> t * Wlcq_util.Perm.t * string
+val normal_form :
+  ?budget:Wlcq_robust.Budget.t -> ?limit:int -> t ->
+  t * Wlcq_util.Perm.t * string
 
 (** [pp] prints as [(graph(...), X={...})]. *)
 val pp : Format.formatter -> t -> unit

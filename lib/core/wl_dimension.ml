@@ -182,29 +182,51 @@ let equivalent_store =
     ~words:(fun (_ : bool) -> 1)
     ()
 
+(* the key of a verdict on a pair of addresses, in either order *)
+let verdict_key k a1 a2 =
+  let a1, a2 = if String.compare a1 a2 <= 0 then (a1, a2) else (a2, a1) in
+  string_of_int k ^ "|" ^ a1 ^ "|" ^ a2
+
+(* The as-labelled key is tried first, so an identical resubmission
+   hits for two edge-list digests and only a relabelled one pays for
+   canonical labelling; a verdict found or computed under the canonical
+   key is stored under both.  The two probes count as one lookup. *)
 let equivalent_cached k g1 g2 =
   if not (Wlcq_cache.Cache.enabled ()) then
     Wlcq_wl.Equivalence.equivalent k g1 g2
   else begin
-    let address g =
-      fst
-        (Wlcq_cache.Cache.address
-           ~nodes:
-             (Dispatch.address_nodes (Dispatch.Probe_decide k)
-                ~n:(Graph.num_vertices g) ~m:(Graph.num_edges g))
-           g)
+    let skey =
+      verdict_key k
+        (Wlcq_cache.Cache.structural_address g1)
+        (Wlcq_cache.Cache.structural_address g2)
     in
-    let a1 = address g1 and a2 = address g2 in
-    let a1, a2 = if String.compare a1 a2 <= 0 then (a1, a2) else (a2, a1) in
-    let key = string_of_int k ^ "|" ^ a1 ^ "|" ^ a2 in
-    match Wlcq_cache.Cache.find equivalent_store key with
+    match Wlcq_cache.Cache.find ~count_miss:false equivalent_store skey with
     | Some v ->
       Obs.incr m_cache_hits;
       v
     | None ->
-      Obs.incr m_cache_misses;
-      let v = Wlcq_wl.Equivalence.equivalent k g1 g2 in
-      Wlcq_cache.Cache.add equivalent_store key v;
+      let address g =
+        fst
+          (Wlcq_cache.Cache.address
+             ~nodes:
+               (Dispatch.address_nodes (Dispatch.Probe_decide k)
+                  ~n:(Graph.num_vertices g) ~m:(Graph.num_edges g))
+             g)
+      in
+      let key = verdict_key k (address g1) (address g2) in
+      let v =
+        match Wlcq_cache.Cache.find equivalent_store key with
+        | Some v ->
+          Obs.incr m_cache_hits;
+          v
+        | None ->
+          Obs.incr m_cache_misses;
+          let v = Wlcq_wl.Equivalence.equivalent k g1 g2 in
+          Wlcq_cache.Cache.add equivalent_store key v;
+          v
+      in
+      if not (String.equal key skey) then
+        Wlcq_cache.Cache.add equivalent_store skey v;
       v
   end
 

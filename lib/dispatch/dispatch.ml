@@ -245,9 +245,11 @@ let address_nodes probe ~n ~m =
         probe *)
      | Probe_decide _ -> max 1 nodes
      (* a graph whose group is the full symmetric group needs
-        n(n+1)/2 nodes; never refuse a small graph what it needs *)
-     | Probe_graph -> max nodes ((n + 1) * (n + 1) / 2)
-     | Probe_count _ | Probe_hom _ -> max 0 nodes)
+        n(n+1)/2 nodes; never refuse a small graph what it needs.  Past
+        the cap on its 2^n price, a graph gets the price alone, so
+        large ones are not labelled beyond it. *)
+     | Probe_graph when work < sat_cap -> max nodes ((n + 1) * (n + 1) / 2)
+     | Probe_graph | Probe_count _ | Probe_hom _ -> max 0 nodes)
 
 let choose_address probe ~n ~m =
   let nodes = address_nodes probe ~n ~m in

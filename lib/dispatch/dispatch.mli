@@ -181,8 +181,9 @@ val dense_fits : bits:int -> cap:int -> bool
     - [Probe_hom work]: a homomorphism count whose engine is predicted
       at [work] steps ({!brute_cost});
     - [Probe_graph]: a graph-sized search (exact treewidth), priced by
-      size alone at [2^n] steps, and never below the [(n+1)²/2] nodes
-      that a graph with the full symmetric group needs. *)
+      size alone at [2^n] steps (capped at [2^30]); below the cap, never
+      below the [(n+1)²/2] nodes that a graph with the full symmetric
+      group needs. *)
 type probe =
   | Probe_count of (int * int) list
   | Probe_decide of int

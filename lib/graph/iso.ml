@@ -18,9 +18,14 @@
      labelling, ranked by its trace sequence and then by its canonical
      adjacency words; the least leaf is the canonical form.
    - A leaf equal to the first or the best leaf yields an automorphism,
-     and the search returns to where the two paths part.  A child in
-     the same orbit as an explored sibling, under the automorphisms
-     found so far that fix the current path, is skipped. *)
+     and the search returns to where the two paths part.  Children are
+     tried in increasing vertex order, and a child that is not the
+     least member of its orbit, under the automorphisms found so far
+     that fix the current path, is skipped: a lesser member was tried
+     before it.
+   - The search keeps O(n) words per call for the partition stack, as
+     nauty does: every cell start records the depth that made it, and
+     returning to a depth merges the younger cells back. *)
 
 module Perm = Wlcq_util.Perm
 module Ordering = Wlcq_util.Ordering
@@ -43,6 +48,7 @@ type part = {
   pos : int array;
   cell : int array;
   cend : int array;
+  birth : int array;  (* per cell start: the search depth that split it off *)
   (* lint: domain-local per-call state: every search, refinement and
      isomorphism test allocates its own partition *)
   mutable cells : int;
@@ -81,7 +87,7 @@ let make_part graphs =
   let ints () = Array.make n 0 in
   {
     n; start; nbr; lab = ints (); pos = ints (); cell = ints ();
-    cend = ints (); cells = 0; count = ints (); wbuf = ints ();
+    cend = ints (); birth = ints (); cells = 0; count = ints (); wbuf = ints ();
     marked = ints (); tcells = ints (); queue = ints ();
     inq = Array.make n false; qhead = 0; qlen = 0;
   }
@@ -142,17 +148,18 @@ let seed p colour =
       p.cell.(q) <- !i
     done;
     p.cend.(!i) <- !j;
+    p.birth.(!i) <- 0;
     p.cells <- p.cells + 1;
     enqueue p !i;
     i := !j
   done
 
 (* Split the cell starting at [s] by [count], whose touched vertices
-   sit at its end; returns [h] mixed with the fragments' positions,
-   counts and sizes.  A queued cell queues all its fragments, any other
-   all but its first largest (Hopcroft).  Only the touched vertices
+   sit at its end, at search depth [lvl]; returns [h] mixed with the
+   fragments' positions, counts and sizes.  A queued cell queues all
+   its fragments, any other all but its first largest (Hopcroft).  Only the touched vertices
    move, so a split costs their number, not the cell's size. *)
-let split p s h =
+let split p lvl s h =
   let e = p.cend.(s) in
   let t0 = e - p.marked.(s) in
   p.marked.(s) <- 0;
@@ -171,6 +178,7 @@ let split p s h =
         while !j < e && p.count.(p.lab.(!j)) = c do incr j done;
         if !f > s then begin
           for q = !f to !j - 1 do p.cell.(q) <- !f done;
+          p.birth.(!f) <- lvl;
           p.cells <- p.cells + 1
         end;
         p.cend.(!f) <- !j;
@@ -253,10 +261,10 @@ let sort_cells p k =
       p.tcells.(!j + 1) <- x
     done
 
-(* Refine to the coarsest equitable partition below the current one;
-   returns [h] mixed with every split and the final cell count: the
-   level's trace. *)
-let refine_part p h =
+(* Refine to the coarsest equitable partition below the current one,
+   at search depth [lvl]; returns [h] mixed with every split and the
+   final cell count: the level's trace. *)
+let refine_part p lvl h =
   let h = ref h in
   while p.qlen > 0 do
     let w = p.queue.(p.qhead) in
@@ -265,12 +273,13 @@ let refine_part p h =
     p.inq.(w) <- false;
     let k = count_from p w in
     sort_cells p k;
-    for j = 0 to k - 1 do h := split p p.tcells.(j) !h done
+    for j = 0 to k - 1 do h := split p lvl p.tcells.(j) !h done
   done;
   mix !h p.cells
 
-(* Make [v] a singleton cell at the front of its cell and queue it. *)
-let individualise p v =
+(* Make [v] a singleton cell at the front of its cell, at search depth
+   [lvl], and queue it. *)
+let individualise p lvl v =
   let i = p.pos.(v) in
   let s = p.cell.(i) in
   let e = p.cend.(s) in
@@ -281,27 +290,29 @@ let individualise p v =
   p.pos.(v) <- s;
   p.cend.(s) <- s + 1;
   p.cend.(s + 1) <- e;
+  p.birth.(s + 1) <- lvl;
   for q = s + 1 to e - 1 do p.cell.(q) <- s + 1 done;
   p.cells <- p.cells + 1;
   enqueue p s
 
-(* A level's saved partition is [lab] then [cend]. *)
-let save p buf =
-  Array.blit p.lab 0 buf 0 p.n;
-  Array.blit p.cend 0 buf p.n p.n
-
-let restore p buf cells =
+(* Return to the partition of search depth [d]: every cell split off
+   deeper merges back into the cell before it.  [lab] and [pos] stay as
+   they are, since refinement only moves vertices within their cells
+   and no step depends on the order inside a cell. *)
+let restore p d =
   let n = p.n in
-  Array.blit buf 0 p.lab 0 n;
-  Array.blit buf n p.cend 0 n;
-  for i = 0 to n - 1 do p.pos.(p.lab.(i)) <- i done;
-  let s = ref 0 in
+  let s = ref 0 and cells = ref 0 in
   while !s < n do
-    let e = p.cend.(!s) in
-    for q = !s to e - 1 do p.cell.(q) <- !s done;
-    s := e
+    let e = ref p.cend.(!s) in
+    while !e < n && p.birth.(!e) > d do e := p.cend.(!e) done;
+    if p.cend.(!s) <> !e then begin
+      p.cend.(!s) <- !e;
+      for q = !s to !e - 1 do p.cell.(q) <- !s done
+    end;
+    incr cells;
+    s := !e
   done;
-  p.cells <- cells
+  p.cells <- !cells
 
 (* Row [i] of the canonical adjacency holds the positions of the
    neighbours of the vertex at position [i]. *)
@@ -336,14 +347,28 @@ type leaf = {
   l_gens : Perm.t list;
 }
 
-(* Union-find over [buf.(o .. o+n-1)]. *)
-let rec find buf o v =
-  let u = buf.(o + v) in
+(* Union-find over [uf], each root the least member of its set. *)
+let rec find uf v =
+  let u = uf.(v) in
   if u = v then v
   else begin
-    let w = buf.(o + u) in
-    buf.(o + v) <- w;
-    if w = u then u else find buf o w
+    let w = uf.(u) in
+    uf.(v) <- w;
+    if w = u then u else find uf w
+  end
+
+(* Remove and return the least member of the bitset [bits]; -1 when it
+   is empty. *)
+let pop_least bits =
+  let nw = Array.length bits in
+  let i = ref 0 in
+  while !i < nw && bits.(!i) = 0 do incr i done;
+  if !i = nw then -1
+  else begin
+    let w = bits.(!i) in
+    let b = w land (-w) in
+    bits.(!i) <- w lxor b;
+    (!i * bpw) + Wlcq_util.Bitset.popcount (b - 1)
   end
 
 (* [search ~budget ~limit p] runs the I/R search from the seeded
@@ -364,22 +389,19 @@ let search ~budget ~limit p =
   let cur_words = ref (ints (n * nw)) in
   let first_depth = ref (-1) and best_depth = ref (-1) in
   let gens = ref [] and ngens = ref 0 in
-  (* per level, allocated on first visit: the saved partition (2n), the
-     orbit union-find (n) and the explored children (n) *)
-  let levels = Array.make (n + 1) [||] in
-  let orbit_gens = Array.make (n + 1) (-1) in
+  (* per level, allocated on first visit: the target cell's vertices
+     not tried yet, as a bitset *)
+  let todo = Array.make (n + 1) [||] in
+  (* the orbits under the found automorphisms that fix the first
+     [orb_depth] vertices of the path, while [orb_gens] automorphisms
+     are known *)
+  let orb = ints n and orb_depth = ref (-1) and orb_gens = ref 0 in
   let nodes = ref 0 and jump = ref max_int in
-  let level d =
-    if Array.length levels.(d) = 0 then levels.(d) <- ints (4 * n);
-    levels.(d)
-  in
-  (* the orbits, under the found automorphisms that fix the first [d]
-     individualised vertices, in [buf]'s union-find *)
-  let orbits d buf =
-    if orbit_gens.(d) <> !ngens then begin
-      orbit_gens.(d) <- !ngens;
-      let o = 2 * n in
-      for v = 0 to n - 1 do buf.(o + v) <- v done;
+  let orbits d =
+    if !orb_depth <> d || !orb_gens <> !ngens then begin
+      orb_depth := d;
+      orb_gens := !ngens;
+      for v = 0 to n - 1 do orb.(v) <- v done;
       List.iter
         (fun (g : Perm.t) ->
            let fixes = ref true in
@@ -388,23 +410,19 @@ let search ~budget ~limit p =
            done;
            if !fixes then
              for v = 0 to n - 1 do
-               let a = find buf o v and b = find buf o g.(v) in
-               if a < b then buf.(o + b) <- a else if b < a then buf.(o + a) <- b
+               let a = find orb v and b = find orb g.(v) in
+               if a < b then orb.(b) <- a else if b < a then orb.(a) <- b
              done)
         !gens
     end
   in
-  let seen_orbit d buf explored v =
-    explored > 0 && !ngens > 0
-    && begin
-      orbits d buf;
-      let o = 2 * n in
-      let r = find buf o v in
-      let hit = ref false in
-      for i = 0 to explored - 1 do
-        if find buf o buf.((3 * n) + i) = r then hit := true
-      done;
-      !hit
+  (* children come in increasing vertex order, so a child that is not
+     the least member of its orbit has a lesser member tried before it *)
+  let least_in_orbit d v =
+    !ngens = 0
+    || begin
+      orbits d;
+      find orb v = v
     end
   in
   let automorphism ref_lab ref_path d =
@@ -468,32 +486,34 @@ let search ~budget ~limit p =
     if !first_depth >= 0 && (not eqf.(d)) && cmpb.(d) > 0 then ()
     else if p.cells = n then leaf d
     else begin
-      let buf = level d in
-      save p buf;
-      orbit_gens.(d) <- -1;
-      let cells = p.cells in
       let s = ref 0 in
       while p.cend.(!s) - !s = 1 do s := p.cend.(!s) done;
       let s = !s in
-      let e = p.cend.(s) in
-      let explored = ref 0 and i = ref s in
-      while !i < e && !jump >= d do
-        let v = buf.(!i) in
-        if not (seen_orbit d buf !explored v) then begin
-          if !explored > 0 then restore p buf cells;
-          buf.((3 * n) + !explored) <- v;
-          incr explored;
-          path.(d) <- v;
-          individualise p v;
-          trace.(d + 1) <- refine_part p (mix trace.(d) s);
+      if Array.length todo.(d) = 0 then todo.(d) <- ints nw;
+      let set = todo.(d) in
+      Array.fill set 0 nw 0;
+      for q = s to p.cend.(s) - 1 do
+        let v = p.lab.(q) in
+        set.(v / bpw) <- set.(v / bpw) lor (1 lsl (v mod bpw))
+      done;
+      let explored = ref false and v = ref (pop_least set) in
+      while !v >= 0 && !jump >= d do
+        if (not !explored) || least_in_orbit d !v then begin
+          if !explored then restore p d;
+          explored := true;
+          path.(d) <- !v;
+          (* deeper orbits depend on the path through [d] *)
+          if !orb_depth > d then orb_depth := -1;
+          individualise p (d + 1) !v;
+          trace.(d + 1) <- refine_part p (d + 1) (mix trace.(d) s);
           visit (d + 1);
           if !jump = d then jump := max_int
         end;
-        incr i
+        v := pop_least set
       done
     end
   in
-  trace.(0) <- refine_part p (mix 0x5eed n);
+  trace.(0) <- refine_part p 0 (mix 0x5eed n);
   visit 0;
   { l_lab = best_lab; l_words = !best_words; l_gens = !gens }
 
@@ -520,20 +540,17 @@ type canonical = {
   digest : string;
 }
 
-(* The digest covers the vertex count, the colour ranks in canonical
-   order (a new rank wherever the colour changes along the leaf, which
-   lists the vertices by colour) and the canonical adjacency words,
-   eight bytes each. *)
+(* The digest covers the vertex count, the colour values in canonical
+   order (the leaf lists the vertices by colour) and the canonical
+   adjacency words, eight bytes each: two coloured graphs share it
+   exactly when an isomorphism maps every vertex to one of the same
+   colour value. *)
 let digest_of colour (r : leaf) =
   let n = Array.length r.l_lab in
   let buf = Buffer.create (24 + (8 * (n + Array.length r.l_words))) in
-  Buffer.add_string buf "wlcq-canon-v2;";
+  Buffer.add_string buf "wlcq-canon-v3;";
   Buffer.add_int64_le buf (Int64.of_int n);
-  let rank = ref 0 in
-  for i = 0 to n - 1 do
-    if i > 0 && colour.(r.l_lab.(i)) <> colour.(r.l_lab.(i - 1)) then incr rank;
-    Buffer.add_int64_le buf (Int64.of_int !rank)
-  done;
+  Array.iter (fun v -> Buffer.add_int64_le buf (Int64.of_int colour.(v))) r.l_lab;
   Array.iter (fun w -> Buffer.add_int64_le buf (Int64.of_int w)) r.l_words;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -544,15 +561,15 @@ let colouring g = function
       invalid_arg "Iso.canonical_form: colouring size mismatch";
     a
 
-let canonical_form ?init ?limit g =
+let canonical_form ?budget ?init ?limit g =
   let colour = colouring g init in
-  let r = run ?limit g colour in
+  let r = run ?budget ?limit g colour in
   let perm = inverse r.l_lab in
   { canon = Ops.relabel g perm; perm; digest = digest_of colour r }
 
-let canonical_digest ?limit g =
+let canonical_digest ?budget ?limit g =
   let colour = uniform g in
-  let r = run ?limit g colour in
+  let r = run ?budget ?limit g colour in
   (digest_of colour r, inverse r.l_lab)
 
 (* ------------------------------------------------------------------ *)
@@ -651,7 +668,7 @@ let refine g init =
     invalid_arg "Iso.refine: colouring size mismatch";
   let p = make_part [| g |] in
   seed p init;
-  ignore (refine_part p 0);
+  ignore (refine_part p 0 0);
   colours_of p
 
 let refine_pair g1 init1 g2 init2 =
@@ -660,6 +677,6 @@ let refine_pair g1 init1 g2 init2 =
   then invalid_arg "Iso.refine_pair: colouring size mismatch";
   let p = make_part [| g1; g2 |] in
   seed p (Array.append init1 init2);
-  ignore (refine_part p 0);
+  ignore (refine_part p 0 0);
   let col, c = colours_of p in
   (Array.sub col 0 n1, Array.sub col n1 (p.n - n1), c)

@@ -84,15 +84,24 @@ exception Canonical_limit
 (** [canonical_form ?init ?limit g] computes a canonical labelling: the
     search's least leaf, ranked by its trace sequence and then by its
     canonical adjacency words.  [init] seeds the first partition
-    (default: uniform), and the canonical form respects it: isomorphic
-    inputs with corresponding colourings get identical digests, inputs
-    with different colourings do not collide.  [limit] (default:
-    unbounded) caps the number of visited search nodes;
-    @raise Canonical_limit when exceeded. *)
-val canonical_form : ?init:int array -> ?limit:int -> Graph.t -> canonical
+    (default: uniform), and the canonical form respects it: two
+    coloured graphs get the same digest exactly when an isomorphism
+    maps every vertex to one of the same colour value (so a uniform
+    colouring by 0 and one by 1 get different digests).  [limit] (default:
+    unbounded) caps the number of visited search nodes, and [budget]
+    is ticked once per node;
+    @raise Canonical_limit when [limit] is exceeded or [budget] trips. *)
+val canonical_form :
+  ?budget:Wlcq_robust.Budget.t -> ?init:int array -> ?limit:int -> Graph.t ->
+  canonical
 
-(** [canonical_digest ?limit g] is [(digest, perm)] of
+(** [canonical_digest ?budget ?limit g] is [(digest, perm)] of
     [canonical_form ?limit g] without building the canonical graph:
-    what a content address needs.
-    @raise Canonical_limit as {!canonical_form}. *)
-val canonical_digest : ?limit:int -> Graph.t -> string * Wlcq_util.Perm.t
+    what a content address needs.  [budget] is ticked once per search
+    node; its trip, like running out of [limit], raises
+    [Canonical_limit], so the digest itself never depends on it.
+    @raise Canonical_limit as {!canonical_form}, or when [budget]
+    trips. *)
+val canonical_digest :
+  ?budget:Wlcq_robust.Budget.t -> ?limit:int -> Graph.t ->
+  string * Wlcq_util.Perm.t

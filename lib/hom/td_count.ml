@@ -418,39 +418,60 @@ let count_cacheable ?candidates h g =
        ~ng:(Graph.num_vertices g) ~mg:(Graph.num_edges g)
      > (Dispatch.calibration ()).Dispatch.brute_hom_max
 
-(* [compute] raises [Budget.Exhausted] on a trip, so a value reaching
-   [add] is exact by construction; degraded outcomes go through
-   [count_budgeted], which bypasses this helper's [add]. *)
-let count_via_cache ~cacheable ~key compute =
-  if not cacheable then compute ()
-  else
-    match Cache.find count_store (Lazy.force key) with
-    | Some v ->
-      Obs.incr m_cache_hits;
-      v
-    | None ->
-      Obs.incr m_cache_misses;
-      let v = compute () in
-      Cache.add count_store (Lazy.force key) v;
-      v
-
 (* both addresses are priced by the count they would let us skip *)
 let count_key h g =
-  lazy
-    (let probe =
-       Dispatch.Probe_hom
-         (Dispatch.brute_cost ~nh:(Graph.num_vertices h)
-            ~ng:(Graph.num_vertices g) ~mg:(Graph.num_edges g))
-     in
-     let address x =
-       fst
-         (Cache.address
-            ~nodes:
-              (Dispatch.address_nodes probe ~n:(Graph.num_vertices x)
-                 ~m:(Graph.num_edges x))
-            x)
-     in
-     address h ^ "|" ^ address g)
+  let probe =
+    Dispatch.Probe_hom
+      (Dispatch.brute_cost ~nh:(Graph.num_vertices h)
+         ~ng:(Graph.num_vertices g) ~mg:(Graph.num_edges g))
+  in
+  let address x =
+    fst
+      (Cache.address
+         ~nodes:
+           (Dispatch.address_nodes probe ~n:(Graph.num_vertices x)
+              ~m:(Graph.num_edges x))
+         x)
+  in
+  address h ^ "|" ^ address g
+
+(* The pair's entry in the count store, tried under its as-labelled
+   key first: an identical resubmission hits there for two edge-list
+   digests, and only a relabelled one pays for canonical labelling.
+   Returns the stored count, if any, and the function that stores a
+   computed one under both keys; a canonical hit is copied to the
+   as-labelled key.  The two probes count as one lookup. *)
+let lookup h g =
+  let skey = Cache.structural_address h ^ "|" ^ Cache.structural_address g in
+  match Cache.find ~count_miss:false count_store skey with
+  | Some v -> (Some v, ignore)
+  | None -> (
+    let key = count_key h g in
+    let add v =
+      Cache.add count_store key v;
+      if not (String.equal key skey) then Cache.add count_store skey v
+    in
+    match Cache.find count_store key with
+    | Some v ->
+      add v;
+      (Some v, ignore)
+    | None -> (None, add))
+
+(* [compute] raises [Budget.Exhausted] on a trip, so a value reaching
+   [add] is exact by construction; degraded outcomes go through
+   [count_budgeted], which bypasses this helper. *)
+let count_via_cache ~cacheable h g compute =
+  if not cacheable then compute ()
+  else
+    match lookup h g with
+    | Some v, _ ->
+      Obs.incr m_cache_hits;
+      v
+    | None, add ->
+      Obs.incr m_cache_misses;
+      let v = compute () in
+      add v;
+      v
 
 let count_with_decomposition ?(budget = Budget.unlimited) ?candidates d h g =
   if not (Decomposition.is_valid_for d h) then
@@ -467,8 +488,7 @@ let count ?(budget = Budget.unlimited) ?candidates h g =
   else if Graph.num_vertices g = 0 then Bigint.zero
   else
     count_via_cache
-      ~cacheable:(count_cacheable ?candidates h g)
-      ~key:(count_key h g)
+      ~cacheable:(count_cacheable ?candidates h g) h g
       (fun () ->
          (* dispatch before the decomposition: the point of the brute
             path is that tiny instances skip the treewidth machinery
@@ -526,10 +546,7 @@ let count_budgeted ~budget ?candidates h g =
        Only writes are gated — the [`Exact] arm below — so degraded
        values never enter the tier. *)
     let cacheable = count_cacheable ?candidates h g in
-    let key = count_key h g in
-    let cached =
-      if cacheable then Cache.find count_store (Lazy.force key) else None
-    in
+    let cached, add = if cacheable then lookup h g else (None, ignore) in
     match cached with
     | Some v ->
       Obs.incr m_cache_hits;
@@ -571,9 +588,7 @@ let count_budgeted ~budget ?candidates h g =
       in
       (* never cache [`Degraded]: only fully-trusted exact totals
          enter the tier *)
-      (match outcome with
-       | `Exact v when cacheable -> Cache.add count_store (Lazy.force key) v
-       | _ -> ());
+      (match outcome with `Exact v -> add v | _ -> ());
       outcome
   end
 
@@ -650,8 +665,7 @@ let count_many ?(budget = Budget.unlimited) ?candidates hs g =
              Bigint.of_int (Brute.count ~budget ?candidates h g)
            | Dispatch.Hom_packed ->
              count_via_cache
-               ~cacheable:(count_cacheable ?candidates h g)
-               ~key:(count_key h g)
+               ~cacheable:(count_cacheable ?candidates h g) h g
                (fun () ->
                   let d =
                     (* a size-n_max "prefix" is full adjacency equality

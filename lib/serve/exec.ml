@@ -9,12 +9,15 @@
    including [Worker_raise] fault injections — lives in the server's
    worker wrapper, not here.
 
-   Counts, verdicts and treewidths are isomorphism invariants, so the
-   daemon answers a resubmission, relabelled or not, from one store in
-   the cache tier keyed on canonical addresses.  [Dispatch] prices each
+   Counts and verdicts are isomorphism invariants, so the daemon
+   answers a resubmission, relabelled or not, from one store in the
+   cache tier keyed on canonical addresses.  [Dispatch] prices each
    probe: the labelling may spend at most the work it could save, and
-   a request it declines, or whose labelling runs out of nodes, is
-   computed and stored nowhere.  Only exact values enter the store. *)
+   within the request's budget.  A request it declines, or whose
+   labelling runs out of nodes or budget, is computed and stored
+   nowhere.  Only exact values enter the store.  Treewidths go through
+   the decomposition store of [Exact], which addresses a graph only
+   once its heuristic bracket stays open. *)
 
 module G = Wlcq_graph
 module Core = Wlcq_core
@@ -53,37 +56,37 @@ let parse_query s =
   | Error e -> Error e
 
 (* The reply value of each exact answer, by request key:
-   [count|<query digest>|<graph address>],
-   [decide|<k>|<lower address>|<higher address>] and
-   [tw|<graph address>]. *)
+   [count|<query digest>|<graph address>] and
+   [decide|<k>|<lower address>|<higher address>]. *)
 let answers =
   Cache.store ~name:"serve.answers"
     ~words:(fun v -> 4 + (String.length v / (Sys.word_size / 8)))
     ()
 
 (* [g]'s canonical address within the node budget [Dispatch] sets for
-   [probe]; [None] when the tier is off, the probe is declined or the
-   labelling runs out of nodes. *)
-let address probe g =
+   [probe] and within [budget]; [None] when the tier is off, the probe
+   is declined or the labelling runs out of nodes or budget. *)
+let address ~budget probe g =
   if not (Cache.enabled ()) then None
   else
     let nodes =
       Dispatch.choose_address probe ~n:(G.Graph.num_vertices g)
         ~m:(G.Graph.num_edges g)
     in
-    Option.map fst (Cache.canonical_address ~nodes g)
+    Option.map fst (Cache.canonical_address ~budget ~nodes g)
 
 (* the key of |Ans(q, G)| on a graph addressed [ga]: the query's
-   normal form colours free against quantified variables, so renamed
-   variables and a shuffled head share it.  A query is priced by its
-   own size, like any small graph. *)
-let count_key ga (q : Core.Cq.t) =
+   normal form colours free against quantified variables by value, so
+   renamed variables and a shuffled head share it and queries that
+   differ in their free variables do not.  A query is priced by its own
+   size, like any small graph. *)
+let count_key ~budget ga (q : Core.Cq.t) =
   let h = q.Core.Cq.graph in
   let limit =
     Dispatch.address_nodes Dispatch.Probe_graph ~n:(G.Graph.num_vertices h)
       ~m:(G.Graph.num_edges h)
   in
-  match Core.Cq.normal_form ~limit q with
+  match Core.Cq.normal_form ~budget ~limit q with
   | _, _, d -> Some ("count|" ^ d ^ "|" ^ ga)
   | exception G.Iso.Canonical_limit -> None
 
@@ -144,10 +147,10 @@ let rec parse_queries acc = function
 let batch ~budget qs g =
   let costs = List.map (fun q -> Core.Fast_count.answer_costs q g) qs in
   let keys =
-    match address (Dispatch.Probe_count costs) g with
+    match address ~budget (Dispatch.Probe_count costs) g with
     | None -> None
     | Some a ->
-      let ks = List.filter_map (count_key a) qs in
+      let ks = List.filter_map (count_key ~budget a) qs in
       if List.compare_lengths ks qs = 0 then Some ks else None
   in
   let rec hits acc = function
@@ -175,14 +178,14 @@ let run_op ~budget (op : Wire.op) =
     let* g1 = parse_graph g1 in
     let* g2 = parse_graph g2 in
     let key =
-      match address (Dispatch.Probe_decide k) g1 with
+      match address ~budget (Dispatch.Probe_decide k) g1 with
       | None -> None
       | Some a1 ->
         Option.map
           (fun a2 ->
              let lo, hi = if String.compare a1 a2 <= 0 then (a1, a2) else (a2, a1) in
              Printf.sprintf "decide|%d|%s|%s" k lo hi)
-          (address (Dispatch.Probe_decide k) g2)
+          (address ~budget (Dispatch.Probe_decide k) g2)
     in
     stored key (fun () ->
         match Wlcq_wl.Equivalence.equivalent_budgeted ~budget k g1 g2 with
@@ -194,8 +197,9 @@ let run_op ~budget (op : Wire.op) =
     let* g = parse_graph graph in
     let key =
       Option.bind
-        (address (Dispatch.Probe_count [ Core.Fast_count.answer_costs q g ]) g)
-        (fun a -> count_key a q)
+        (address ~budget
+           (Dispatch.Probe_count [ Core.Fast_count.answer_costs q g ]) g)
+        (fun a -> count_key ~budget a q)
     in
     stored key (fun () -> count ~budget q g)
   | Wire.Count_batch { queries; graph } ->
@@ -204,12 +208,10 @@ let run_op ~budget (op : Wire.op) =
     batch ~budget qs g
   | Wire.Treewidth { graph } ->
     let* g = parse_graph graph in
-    let key = Option.map (fun a -> "tw|" ^ a) (address Dispatch.Probe_graph g) in
-    stored key (fun () ->
-        match Wlcq_treewidth.Exact.treewidth_budgeted ~budget g with
-        | `Exact w -> `Value (string_of_int w, "")
-        | `Degraded (w, r) -> `Degraded (string_of_int w, degraded_detail r)
-        | `Exhausted _ -> `Exhausted "treewidth exhausted")
+    (match Wlcq_treewidth.Exact.treewidth_stored ~budget g with
+     | `Exact w -> `Value (string_of_int w, "")
+     | `Degraded (w, r) -> `Degraded (string_of_int w, degraded_detail r)
+     | `Exhausted _ -> `Exhausted "treewidth exhausted")
 
 let execute ~budget (req : Wire.request) =
   let id = req.Wire.id in

@@ -199,6 +199,15 @@ let decomposition_words (d : Decomposition.t) =
 let decomposition_store =
   Cache.store ~name:"tw.decomposition" ~words:decomposition_words ()
 
+(* A graph whose bracket stays open, under its canonical address:
+   [None] when [budget] trips during the labelling (the caller then
+   solves without the store), else the address, its permutation and
+   the stored decomposition in canonical ids, if any. *)
+let canonical_entry ~budget g =
+  match Cache.address ~budget g with
+  | exception Budget.Exhausted _ -> None
+  | addr, perm -> Some (addr, perm, Cache.find decomposition_store addr)
+
 (* lint: allow R8 Invalid_argument is Graph.create size validation on
    an internally built tree — an invariant check, not a budget outcome *)
 let optimal_decomposition_budgeted ~budget g =
@@ -236,15 +245,44 @@ let optimal_decomposition_budgeted ~budget g =
       let b = bracket ~budget g in
       if Option.is_some b.tripped then solve b
       else if is_closed b then solve_and_add b key Fun.id
-      else begin
-        let addr, perm = Cache.address g in
-        match Cache.find decomposition_store addr with
-        | Some dc ->
+      else
+        match canonical_entry ~budget g with
+        | None -> solve b
+        | Some (_, perm, Some dc) ->
           hit (Decomposition.relabel dc (Wlcq_util.Perm.inverse perm))
-        | None ->
+        | Some (addr, perm, None) ->
           solve_and_add b addr (fun d -> Decomposition.relabel d perm)
-      end
   end
+
+(* [treewidth_budgeted] through the decomposition store, for a caller
+   whose repeats come relabelled (the daemon).  A graph whose bracket
+   closes is answered from it and stored nowhere: its relabelled
+   copies would each add an entry that never hits.  A searched graph
+   is found in, or added to, the store under its canonical address, as
+   [optimal_decomposition_budgeted] does. *)
+let treewidth_stored ~budget g =
+  Obs.entry_point "tw.treewidth" @@ fun () ->
+  let outcome (w, _, tripped) =
+    match tripped with
+    | None -> `Exact w
+    | Some cause -> Outcome.degraded ~cause ~fallback:"Heuristics.upper_bound" w
+  in
+  let b = bracket ~budget g in
+  if (not (Cache.enabled ())) || Option.is_some b.tripped || is_closed b then
+    outcome (solve_from ~budget g b)
+  else
+    match canonical_entry ~budget g with
+    | None -> outcome (solve_from ~budget g b)
+    | Some (_, _, Some dc) ->
+      if Obs.enabled () then Obs.incr m_memo_hits;
+      `Exact (Decomposition.width dc)
+    | Some (addr, perm, None) ->
+      if Obs.enabled () then Obs.incr m_memo_misses;
+      let ((_, order, tripped) as r) = solve_from ~budget g b in
+      if Option.is_none tripped then
+        Cache.add decomposition_store addr
+          (Decomposition.relabel (Elimination.decomposition_of_order g order) perm);
+      outcome r
 
 let optimal_decomposition g =
   match optimal_decomposition_budgeted ~budget:Budget.unlimited g with

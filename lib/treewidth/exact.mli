@@ -33,6 +33,15 @@ val treewidth : Graph.t -> int
     [robust.fallback.tw_heuristic] counter on degradation. *)
 val treewidth_budgeted : budget:Budget.t -> Graph.t -> (int, 'p) Outcome.t
 
+(** [treewidth_stored ~budget g] is {!treewidth_budgeted} through the
+    decomposition store, for a caller whose repeats arrive relabelled
+    (the daemon): a graph whose heuristic bracket closes is answered
+    from it and stored nowhere; a graph that takes a search is looked
+    up, and its exact result stored, under its canonical address
+    (labelled within [budget]; a trip there solves without the store),
+    so relabelled copies share one entry. *)
+val treewidth_stored : budget:Budget.t -> Graph.t -> (int, 'p) Outcome.t
+
 (** [optimal_decomposition_budgeted ~budget g] is {!optimal_decomposition}
     under a budget: [`Degraded] carries a valid (but possibly
     wider-than-optimal) decomposition from the order behind

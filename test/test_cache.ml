@@ -117,6 +117,42 @@ let test_addresses_separate () =
          gs)
     gs
 
+(* two colourings of one graph that differ only in their values are
+   different inputs: a query whose variables are all free and the
+   boolean query on the same graph must not share a digest *)
+let test_colour_values_keyed () =
+  let g = Builders.path 5 in
+  let n = Graph.num_vertices g in
+  let d c = (Iso.canonical_form ~init:(Array.make n c) g).Iso.digest in
+  Alcotest.(check bool) "uniform 0 and uniform 1 differ" false
+    (String.equal (d 0) (d 1));
+  let q s = (Parser.parse_exn s).Parser.query in
+  let digest s = let _, _, d = Cq.normal_form (q s) in d in
+  Alcotest.(check bool) "full and boolean P5 differ" false
+    (String.equal
+       (digest "(a, b, c, d, e) := E(a, b) & E(b, c) & E(c, d) & E(d, e)")
+       (digest "() := exists a b c d e . E(a, b) & E(b, c) & E(c, d) & E(d, e)"))
+
+(* the labelling polls its budget once per node: a star on 3000
+   vertices, whose search would visit millions of nodes, is declined
+   within its 1 ms deadline, and [address] reports the trip instead of
+   falling back *)
+let test_labelling_budget () =
+  let module Budget = Wlcq_robust.Budget in
+  let g = Builders.star 3000 in
+  let t0 = Sys.time () in
+  let r =
+    Cache.canonical_address
+      ~budget:(Budget.create ~deadline_ms:1.0 ())
+      ~nodes:max_int g
+  in
+  Alcotest.(check bool) "declined" true (Option.is_none r);
+  Alcotest.(check bool) "within 1 s of CPU" true (Sys.time () -. t0 < 1.0);
+  Alcotest.(check bool) "address raises on the trip" true
+    (match Cache.address ~budget:(Budget.create ~deadline_ms:1.0 ()) g with
+     | exception Budget.Exhausted Budget.Deadline -> true
+     | _ -> false)
+
 let qcheck_query_normal_form =
   (* the free-variable set rides along as an initial colouring: the
      normal form must be invariant under variable relabelling, and must
@@ -437,7 +473,11 @@ let () =
         :: QCheck_alcotest.to_alcotest qcheck_address_invariance
         :: QCheck_alcotest.to_alcotest qcheck_query_normal_form
         :: [ Alcotest.test_case "distinct graphs get distinct addresses"
-               `Quick test_addresses_separate ] );
+               `Quick test_addresses_separate;
+             Alcotest.test_case "colour values are part of the digest"
+               `Quick test_colour_values_keyed;
+             Alcotest.test_case "labelling polls its budget" `Quick
+               test_labelling_budget ] );
       ( "differentials",
         [
           Alcotest.test_case "Td_count totals: cold = warm" `Quick

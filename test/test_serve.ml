@@ -935,6 +935,46 @@ let test_exhausted_stores_nothing () =
       check_bool "resubmission missed" true
         (counter "cache.hit" = h0 && counter "cache.miss" > m0))
 
+(* The full and the boolean path query differ only in which variables
+   are free, so they must not share a key: in one batch, a shared key
+   would store one count for both and answer the resubmission with it
+   twice. *)
+let test_free_variables_keyed () =
+  with_store (fun () ->
+      let rng = Prng.create 14 in
+      let g = "path:3" in
+      let full = "(a, b, c, d, e) := E(a, b) & E(b, c) & E(c, d) & E(d, e)"
+      and boolean =
+        "() := exists a b c d e . E(a, b) & E(b, c) & E(c, d) & E(d, e)"
+      in
+      let batch qs graph = exec (Wire.Count_batch { queries = qs; graph }) in
+      let r = batch [ full; boolean ] g in
+      check_string "first run" "12,1" r.Wire.r_value;
+      let h0 = counter "cache.hit" in
+      let r' = batch [ full; boolean ] (relabel rng g) in
+      check_string "relabelled resubmission" "12,1" r'.Wire.r_value;
+      check_bool "answered by the tier" true (counter "cache.hit" > h0);
+      let r'' = batch [ boolean; full ] (relabel rng g) in
+      check_string "queries swapped" "1,12" r''.Wire.r_value)
+
+(* A large graph's labelling is bounded by the request's deadline, and
+   a treewidth whose bracket closes is never labelled at all. *)
+let test_large_graph_prompt () =
+  with_store (fun () ->
+      let timed op =
+        let t0 = Unix.gettimeofday () in
+        let r = exec ~budget:(Budget.create ~deadline_ms:1.0 ()) op in
+        (r, Unix.gettimeofday () -. t0)
+      in
+      let r, dt = timed (Wire.Treewidth { graph = "star:3000" }) in
+      check_bool "treewidth answered" true
+        (status_is Wire.Ok_ r || status_is Wire.Degraded r);
+      check_bool "treewidth within 1 s" true (dt < 1.0);
+      let r, dt = timed (Wire.Treewidth { graph = "3000;" }) in
+      check_bool "edgeless treewidth answered" true
+        (status_is Wire.Ok_ r || status_is Wire.Degraded r);
+      check_bool "edgeless treewidth within 1 s" true (dt < 1.0))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -985,6 +1025,10 @@ let () =
             test_colour_refinement_unaddressed;
           Alcotest.test_case "exhausted requests store nothing" `Quick
             test_exhausted_stores_nothing;
+          Alcotest.test_case "free variables are part of the key" `Quick
+            test_free_variables_keyed;
+          Alcotest.test_case "large graphs answer within the deadline" `Quick
+            test_large_graph_prompt;
         ] );
       ( "storm",
         [ Alcotest.test_case "500-fault storm, clean drain" `Slow
