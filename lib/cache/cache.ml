@@ -146,7 +146,9 @@ let full_key st addr = st.s_name ^ "\x00" ^ addr
 (* hashtable slot + node record + key string, in words *)
 let entry_overhead key = 16 + ((String.length key + word_bytes - 1) / word_bytes)
 
-let find ?(count_miss = true) st addr =
+(* [~count_miss:false] is for the first probe of a lookup that tries a
+   second key next, so that one lookup counts once *)
+let find_counting ~count_miss st addr =
   if not (enabled ()) then None
   else
     with_lock (fun () ->
@@ -164,6 +166,8 @@ let find ?(count_miss = true) st addr =
              unlink nd;
              push_front nd;
              Some v))
+
+let find st addr = find_counting ~count_miss:true st addr
 
 let add st addr v =
   if enabled () then
@@ -245,6 +249,25 @@ let address ?(budget = Budget.unlimited) ?nodes g =
     Budget.check budget;
     Obs.incr m_canon_fallback;
     (structural_address g, Perm.identity (Graph.num_vertices g))
+
+(* The as-labelled key first: an identical resubmission hits it for an
+   edge-list digest, and only a relabelled one pays for the canonical
+   key.  A value found under the canonical key is copied to the
+   as-labelled one, and [store] puts a computed one under both. *)
+let find_labelled st ~labelled ~canonical =
+  match find_counting ~count_miss:false st labelled with
+  | Some v -> (Some v, ignore)
+  | None -> (
+    let key = Lazy.force canonical in
+    let store v =
+      add st key v;
+      if not (String.equal key labelled) then add st labelled v
+    in
+    match find st key with
+    | Some v ->
+      store v;
+      (Some v, ignore)
+    | None -> (None, store))
 
 (* ------------------------------------------------------------------ *)
 (* Warm-start snapshots                                                *)

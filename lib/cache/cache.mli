@@ -35,11 +35,8 @@ val store : name:string -> words:('a -> int) -> unit -> 'a store
     nothing. *)
 val enabled : unit -> bool
 
-(** [find ?count_miss st addr] looks up and refreshes (MRU) an entry.
-    [~count_miss:false] leaves [cache.miss] alone on a miss: for the
-    first probe of a lookup that tries a second key next, so that one
-    lookup counts once. *)
-val find : ?count_miss:bool -> 'a store -> string -> 'a option
+(** [find st addr] looks up and refreshes (MRU) an entry. *)
+val find : 'a store -> string -> 'a option
 
 (** [add st addr v] inserts [v], evicting LRU entries as needed.  An
     entry larger than the whole capacity is not inserted. *)
@@ -81,6 +78,16 @@ val canonical_address :
 val address :
   ?budget:Wlcq_robust.Budget.t -> ?nodes:int -> Wlcq_graph.Graph.t ->
   string * Wlcq_util.Perm.t
+
+(** [find_labelled st ~labelled ~canonical] looks [st] up under the
+    as-labelled key [labelled] and then, on a miss, under
+    [Lazy.force canonical]: an identical resubmission skips the
+    canonical labelling.  Returns the value, copied to [labelled] when
+    found under [canonical], and the function that stores a computed
+    value under both keys.  The two probes count as one lookup. *)
+val find_labelled :
+  'a store -> labelled:string -> canonical:string Lazy.t ->
+  'a option * ('a -> unit)
 
 (** [structural_address g] is the as-labelled address of [g]: a digest
     of its vertex count and edge list, with no canonical labelling.

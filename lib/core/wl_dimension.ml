@@ -187,46 +187,33 @@ let verdict_key k a1 a2 =
   let a1, a2 = if String.compare a1 a2 <= 0 then (a1, a2) else (a2, a1) in
   string_of_int k ^ "|" ^ a1 ^ "|" ^ a2
 
-(* The as-labelled key is tried first, so an identical resubmission
-   hits for two edge-list digests and only a relabelled one pays for
-   canonical labelling; a verdict found or computed under the canonical
-   key is stored under both.  The two probes count as one lookup. *)
+(* An identical resubmission hits the pair's as-labelled key, and only
+   a relabelled one pays for canonical labelling. *)
 let equivalent_cached k g1 g2 =
   if not (Wlcq_cache.Cache.enabled ()) then
     Wlcq_wl.Equivalence.equivalent k g1 g2
   else begin
-    let skey =
-      verdict_key k
-        (Wlcq_cache.Cache.structural_address g1)
-        (Wlcq_cache.Cache.structural_address g2)
+    let address g =
+      fst
+        (Wlcq_cache.Cache.address
+           ~nodes:
+             (Dispatch.address_nodes (Dispatch.Probe_decide k)
+                ~n:(Graph.num_vertices g) ~m:(Graph.num_edges g))
+           g)
     in
-    match Wlcq_cache.Cache.find ~count_miss:false equivalent_store skey with
-    | Some v ->
+    let labelled = Wlcq_cache.Cache.structural_address in
+    match
+      Wlcq_cache.Cache.find_labelled equivalent_store
+        ~labelled:(verdict_key k (labelled g1) (labelled g2))
+        ~canonical:(lazy (verdict_key k (address g1) (address g2)))
+    with
+    | Some v, _ ->
       Obs.incr m_cache_hits;
       v
-    | None ->
-      let address g =
-        fst
-          (Wlcq_cache.Cache.address
-             ~nodes:
-               (Dispatch.address_nodes (Dispatch.Probe_decide k)
-                  ~n:(Graph.num_vertices g) ~m:(Graph.num_edges g))
-             g)
-      in
-      let key = verdict_key k (address g1) (address g2) in
-      let v =
-        match Wlcq_cache.Cache.find equivalent_store key with
-        | Some v ->
-          Obs.incr m_cache_hits;
-          v
-        | None ->
-          Obs.incr m_cache_misses;
-          let v = Wlcq_wl.Equivalence.equivalent k g1 g2 in
-          Wlcq_cache.Cache.add equivalent_store key v;
-          v
-      in
-      if not (String.equal key skey) then
-        Wlcq_cache.Cache.add equivalent_store skey v;
+    | None, store ->
+      Obs.incr m_cache_misses;
+      let v = Wlcq_wl.Equivalence.equivalent k g1 g2 in
+      store v;
       v
   end
 

@@ -23,8 +23,8 @@
      least member of its orbit, under the automorphisms found so far
      that fix the current path, is skipped: a lesser member was tried
      before it.
-   - The search keeps O(n) words per call for the partition stack, as
-     nauty does: every cell start records the depth that made it, and
+   - The partition stack takes O(n) words per call, as nauty's does:
+     every cell start records the depth that split it off, and
      returning to a depth merges the younger cells back. *)
 
 module Perm = Wlcq_util.Perm
@@ -157,8 +157,9 @@ let seed p colour =
 (* Split the cell starting at [s] by [count], whose touched vertices
    sit at its end, at search depth [lvl]; returns [h] mixed with the
    fragments' positions, counts and sizes.  A queued cell queues all
-   its fragments, any other all but its first largest (Hopcroft).  Only the touched vertices
-   move, so a split costs their number, not the cell's size. *)
+   its fragments, any other all but its first largest (Hopcroft).
+   Only the touched vertices move, so a split costs their number, not
+   the cell's size. *)
 let split p lvl s h =
   let e = p.cend.(s) in
   let t0 = e - p.marked.(s) in

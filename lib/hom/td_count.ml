@@ -435,27 +435,13 @@ let count_key h g =
   in
   address h ^ "|" ^ address g
 
-(* The pair's entry in the count store, tried under its as-labelled
-   key first: an identical resubmission hits there for two edge-list
-   digests, and only a relabelled one pays for canonical labelling.
-   Returns the stored count, if any, and the function that stores a
-   computed one under both keys; a canonical hit is copied to the
-   as-labelled key.  The two probes count as one lookup. *)
+(* The pair's entry in the count store: an identical resubmission hits
+   its as-labelled key, and only a relabelled one pays for canonical
+   labelling. *)
 let lookup h g =
-  let skey = Cache.structural_address h ^ "|" ^ Cache.structural_address g in
-  match Cache.find ~count_miss:false count_store skey with
-  | Some v -> (Some v, ignore)
-  | None -> (
-    let key = count_key h g in
-    let add v =
-      Cache.add count_store key v;
-      if not (String.equal key skey) then Cache.add count_store skey v
-    in
-    match Cache.find count_store key with
-    | Some v ->
-      add v;
-      (Some v, ignore)
-    | None -> (None, add))
+  Cache.find_labelled count_store
+    ~labelled:(Cache.structural_address h ^ "|" ^ Cache.structural_address g)
+    ~canonical:(lazy (count_key h g))
 
 (* [compute] raises [Budget.Exhausted] on a trip, so a value reaching
    [add] is exact by construction; degraded outcomes go through
