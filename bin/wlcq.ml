@@ -671,8 +671,10 @@ let certify_cmd =
 (* wlcq invariants                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* No budget flags: the built-in library is fixed and runs in tens of
+   milliseconds, so there is nothing for a deadline to cut short. *)
 let invariants_cmd =
-  let run _ () _budget () =
+  let run _ () () =
     guarded @@ fun () ->
     Printf.printf "%-16s %-22s %s\n" "parameter" "dimension lower bound"
       "witness pair";
@@ -692,7 +694,7 @@ let invariants_cmd =
      the built-in witness-pair library."
   in
   Cmd.v (Cmd.info "invariants" ~doc)
-    Term.(const run $ obs_term $ cache_term $ budget_term $ const ())
+    Term.(const run $ obs_term $ cache_term $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* wlcq profile                                                        *)

@@ -62,7 +62,7 @@ let rec sentinel =
 let lock = Mutex.create ()
 
 (* lint: domain-local guarded by [lock] *)
-let table : (string, node) Hashtbl.t = Hashtbl.create 1024
+let table : (string, node) Hashtbl.t = Hashtbl.create 16
 
 (* lint: domain-local guarded by [lock]; plain int reads cannot tear *)
 let total_words = ref 0

@@ -1,13 +1,16 @@
 (* Domain-safe metrics, spans, tracing and the flight recorder.
    Design constraint: every piece of global state in this module is
    either an [Atomic.t] (the flags, the registries, every metric
-   cell, every journal slot) or per-domain ([Domain.DLS] span and
-   scope stacks), so the whole library — and every module that
-   merely *uses* it — passes wlcq-lint's R3 rule with exactly one
-   audited suppression (the fixed array of per-stripe journal
-   rings).  Registries are immutable lists swapped in with a CAS
-   loop; metric cells are striped by domain id so worker domains do
-   not contend on one cache line. *)
+   cell, the journal ring and its slots) or per-domain
+   ([Domain.DLS] span and scope stacks), so the whole library — and
+   every module that merely *uses* it — passes wlcq-lint's R3 rule
+   with no suppression.  Registries are immutable lists swapped in
+   with a CAS loop; metric cells are striped by domain id so worker
+   domains do not contend on one cache line.  Stripe arrays and the
+   journal ring are created by their first write: registering a
+   metric at module initialisation allocates only its name and an
+   empty slot, so a one-shot process that records nothing pays for
+   none of them. *)
 
 module Strict_json = Wlcq_strictjson.Strict_json
 
@@ -47,6 +50,22 @@ let sum_cells cells =
 
 let zero_cells cells = Array.iter (fun c -> Atomic.set c 0) cells
 
+(* [materialise slot make] is the array behind [slot], created by
+   [make] and published with one CAS if the slot is still empty.  A
+   slot only ever goes from [None] to [Some], so the loser of a racing
+   first write reads the winner's array and drops its own. *)
+let materialise slot make =
+  match Atomic.get slot with
+  | Some cells -> cells
+  | None -> (
+    let cells = make () in
+    if Atomic.compare_and_set slot None (Some cells) then cells
+    else match Atomic.get slot with Some winner -> winner | None -> cells)
+
+(* [written slot] is the array behind [slot], empty before the first
+   write: readers and [reset] see a never-written metric as zeros. *)
+let written slot = match Atomic.get slot with None -> [||] | Some a -> a
+
 (* lint: allow R7 lock-free CAS retry, bounded by contending domains *)
 let rec atomic_min cell v =
   let cur = Atomic.get cell in
@@ -61,7 +80,7 @@ let rec atomic_max cell v =
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type counter = { c_name : string; c_cells : int Atomic.t array }
+type counter = { c_name : string; c_cells : int Atomic.t array option Atomic.t }
 
 let counter_registry : counter list Atomic.t = Atomic.make []
 
@@ -75,8 +94,7 @@ let rec counter name =
   | Some c -> c
   | None ->
     let c =
-      { c_name = name;
-        c_cells = Array.init num_stripes (fun _ -> Atomic.make 0) }
+      { c_name = name; c_cells = Atomic.make None }
     in
     let old = Atomic.get counter_registry in
     if
@@ -85,12 +103,17 @@ let rec counter name =
     then counter name (* lost the race: re-find the winner *)
     else c
 
+let fresh_counter_cells () = Array.init num_stripes (fun _ -> Atomic.make 0)
+
 let add c n =
-  if enabled () then ignore (Atomic.fetch_and_add c.c_cells.(stripe ()) n)
+  if enabled () then
+    ignore
+      (Atomic.fetch_and_add
+         (materialise c.c_cells fresh_counter_cells).(stripe ()) n)
 
 let incr c = add c 1
 
-let counter_value c = sum_cells c.c_cells
+let counter_value c = sum_cells (written c.c_cells)
 
 (* ------------------------------------------------------------------ *)
 (* Distributions with log2-bucketed histograms                         *)
@@ -132,7 +155,10 @@ type dist_cell = {
   dc_buckets : int Atomic.t array;  (* length num_buckets *)
 }
 
-type distribution = { d_name : string; d_cells : dist_cell array }
+type distribution = {
+  d_name : string;
+  d_cells : dist_cell array option Atomic.t;
+}
 
 type dist_summary = {
   d_count : int;
@@ -164,8 +190,7 @@ let rec distribution name =
   | Some d -> d
   | None ->
     let d =
-      { d_name = name;
-        d_cells = Array.init num_stripes (fun _ -> fresh_dist_cell ()) }
+      { d_name = name; d_cells = Atomic.make None }
     in
     let old = Atomic.get dist_registry in
     if
@@ -174,9 +199,11 @@ let rec distribution name =
     then distribution name
     else d
 
+let fresh_dist_cells () = Array.init num_stripes (fun _ -> fresh_dist_cell ())
+
 let observe d v =
   if enabled () then begin
-    let cell = d.d_cells.(stripe ()) in
+    let cell = (materialise d.d_cells fresh_dist_cells).(stripe ()) in
     ignore (Atomic.fetch_and_add cell.dc_count 1);
     ignore (Atomic.fetch_and_add cell.dc_sum v);
     atomic_min cell.dc_min v;
@@ -194,7 +221,7 @@ let distribution_value d =
          d_max = max acc.d_max (Atomic.get cell.dc_max);
        })
     { d_count = 0; d_sum = 0; d_min = max_int; d_max = min_int }
-    d.d_cells
+    (written d.d_cells)
 
 let distribution_buckets d =
   let out = Array.make num_buckets 0 in
@@ -203,7 +230,7 @@ let distribution_buckets d =
        Array.iteri
          (fun i b -> out.(i) <- out.(i) + Atomic.get b)
          cell.dc_buckets)
-    d.d_cells;
+    (written d.d_cells);
   out
 
 let quantile d q =
@@ -457,7 +484,9 @@ type journal_entry = {
    fixed array of slots.  A write builds an immutable entry and
    publishes it with one [Atomic.set], so readers never see a torn
    event — at worst a wrapped ring has dropped the oldest ones, which
-   is the point of a flight recorder. *)
+   is the point of a flight recorder.  The stripes are created by the
+   first entry written ([materialise]), so a process that never arms
+   the journal never allocates them. *)
 let journal_capacity = 256
 
 type journal_stripe = {
@@ -465,10 +494,9 @@ type journal_stripe = {
   js_slots : journal_entry option Atomic.t array;
 }
 
-(* lint: domain-local fixed array of per-stripe rings, never resized;
-   the write cursor and every slot are Atomic.t cells, so all
-   mutation is atomic and entries are published whole *)
-let journal_stripes =
+let journal_ring : journal_stripe array option Atomic.t = Atomic.make None
+
+let fresh_journal_ring () =
   Array.init num_stripes (fun _ ->
       {
         js_next = Atomic.make 0;
@@ -480,7 +508,7 @@ let journal ?(severity = Info) ?(attrs = []) ?component msg =
     let comp =
       match component with Some c -> c | None -> current_scope ()
     in
-    let st = journal_stripes.(stripe ()) in
+    let st = (materialise journal_ring fresh_journal_ring).(stripe ()) in
     let i = Atomic.fetch_and_add st.js_next 1 in
     Atomic.set
       st.js_slots.(i mod journal_capacity)
@@ -505,7 +533,7 @@ let journal_entries () =
               | None -> acc
               | Some e -> e :: acc)
            acc st.js_slots)
-      [] journal_stripes
+      [] (written journal_ring)
   in
   List.sort
     (fun a b ->
@@ -584,8 +612,11 @@ let distributions () =
        (fun d -> (d.d_name, distribution_value d))
        (Atomic.get dist_registry))
 
+(* Written cells are zeroed in place, never dropped: a domain still
+   holding a stripe array keeps writing into the registered one. *)
 let reset ?(keep_trace = false) () =
-  List.iter (fun c -> zero_cells c.c_cells) (Atomic.get counter_registry);
+  List.iter (fun c -> zero_cells (written c.c_cells))
+    (Atomic.get counter_registry);
   List.iter
     (fun d ->
        Array.iter
@@ -595,14 +626,14 @@ let reset ?(keep_trace = false) () =
             Atomic.set cell.dc_min max_int;
             Atomic.set cell.dc_max min_int;
             zero_cells cell.dc_buckets)
-         d.d_cells)
+         (written d.d_cells))
     (Atomic.get dist_registry);
   Atomic.set span_stats [];
   Array.iter
     (fun st ->
        Atomic.set st.js_next 0;
        Array.iter (fun slot -> Atomic.set slot None) st.js_slots)
-    journal_stripes;
+    (written journal_ring);
   if not keep_trace then Atomic.set events []
 
 (* ------------------------------------------------------------------ *)

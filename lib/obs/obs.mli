@@ -9,7 +9,10 @@
       [Domain.spawn] workers never contend on one cache line, and
       reads aggregate the stripes.  Distributions additionally keep
       log2-bucketed histograms, so {!quantile} answers p50/p99
-      queries with at most one bucket (a factor of 2) of error;
+      queries with at most one bucket (a factor of 2) of error.  A
+      metric's stripes are allocated by its first recorded write, so
+      registering one costs a name and an empty slot, and a
+      never-written metric reads as zero;
     - a {e span API} ({!span}) with monotonic-clock timing and
       nesting (per-domain stacks via [Domain.DLS]).  Closed spans
       feed an aggregated per-path summary, optionally capture
@@ -20,6 +23,7 @@
     - a {e flight recorder} ({!journal}): a bounded, domain-striped
       ring of structured events (timestamp, severity, domain,
       component, key=value attrs) with a one-load disabled path,
+      allocated by the first entry written while it is armed,
       exported as JSONL ({!journal_jsonl}) and dumped automatically
       by [lib/robust] when a budget trips or a fault fires
       ({!set_journal_dump});

@@ -16,20 +16,11 @@ let normalize sign mag =
   else if !len = Array.length mag then { sign; mag }
   else { sign; mag = Array.sub mag 0 !len }
 
-(* Single-limb values below this bound are shared from a preallocated
-   table: the counting DPs promote small ints to Bigint at every table
-   boundary, and the per-call list+array allocation of the general path
-   dominates tiny-instance runs. *)
-let small_cache_limit = 1024
-
-(* lint: domain-local immutable Bigint values built at module load and
-   only ever read afterwards *)
-let small_cache =
-  Array.init small_cache_limit (fun n ->
-      if n = 0 then zero else { sign = 1; mag = [| n |] })
-
+(* A value below [base] is one limb: built directly, without the limb
+   list of the general path. *)
 let of_int n =
-  if n >= 0 && n < small_cache_limit then small_cache.(n)
+  if n = 0 then zero
+  else if n > 0 && n < base then { sign = 1; mag = [| n |] }
   else begin
     let sign = if n > 0 then 1 else -1 in
     (* min_int negation is safe limb-by-limb via mod on the running

@@ -265,6 +265,61 @@ let test_kg_widths_budget () =
     "kg-widths \"(x, y) := exists z . knows(x, z) & knows(z, y)\" \
      --deadline-ms 10000"
 
+(* [invariants] surveys a fixed built-in library in tens of
+   milliseconds, so it takes no budget flags: a deadline would promise
+   an exit 3 it never delivers, and Cmdliner now rejects one as a
+   usage error (124) *)
+let test_invariants_no_budget () =
+  let code, out = run_stdout "invariants" in
+  Alcotest.(check int) "invariants: exit code" 0 code;
+  Alcotest.(check bool) "invariants: prints its table" true
+    (String.starts_with ~prefix:"parameter" out && contains "2K3/C6" out);
+  check_code "invariants rejects --deadline-ms" 124
+    "invariants --deadline-ms 1";
+  check_code "invariants rejects --max-live-mb" 124
+    "invariants --max-live-mb 64"
+
+(* ---- process start-up --------------------------------------------- *)
+
+(* A no-work command allocates only what every run needs: metric
+   stripes and the journal ring are created on first use, so a new
+   eagerly built module-level table shows up here.  OCAMLRUNPARAM's
+   v=0x400 prints the process's GC totals on stderr at exit; the count
+   is deterministic, so the bound is exact rather than statistical. *)
+let startup_words_max = 30_000
+
+(* [allocated_words args] runs wlcq with the GC totals on and reads
+   [allocated_words] off stderr *)
+let allocated_words args =
+  let err = Filename.temp_file "wlcq_test" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "OCAMLRUNPARAM=v=0x400 %s %s >/dev/null 2>%s" wlcq args
+         (Filename.quote err))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  let words =
+    List.find_map
+      (fun line ->
+         match String.split_on_char ':' line with
+         | [ "allocated_words"; n ] -> int_of_string_opt (String.trim n)
+         | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  (code, words)
+
+let test_startup_allocation () =
+  let code, words = allocated_words "tw --graph path:2" in
+  Alcotest.(check int) "tw path:2: exit code" 0 code;
+  match words with
+  | None -> Alcotest.fail "no allocated_words line on stderr"
+  | Some w ->
+    Alcotest.(check bool)
+      (Printf.sprintf "start-up allocates at most %d words (allocated %d)"
+         startup_words_max w)
+      true (w <= startup_words_max)
+
 let with_tmp suffix f =
   let file = Filename.temp_file "wlcq_test" suffix in
   Fun.protect
@@ -558,6 +613,8 @@ let () =
             test_cfi_budget;
           Alcotest.test_case "quantum counts honour their budget" `Quick
             test_quantum_counts_deadline;
+          Alcotest.test_case "invariants takes no budget flags" `Quick
+            test_invariants_no_budget;
         ] );
       ( "ans",
         [
@@ -567,6 +624,11 @@ let () =
           Alcotest.test_case "star3 past enumeration" `Quick test_ans_star3;
           Alcotest.test_case "injective through the expansion" `Quick
             test_ans_injective;
+        ] );
+      ( "start-up",
+        [
+          Alcotest.test_case "no-work call allocation" `Quick
+            test_startup_allocation;
         ] );
       ( "observability",
         [

@@ -171,6 +171,18 @@ let test_r11_io_needs_timeout () =
   check_count "R11 count on lib/serve/io" "lib/serve/io.ml" "R11" 1;
   message_of "lib/serve/io.ml" "R11" "read_forever"
 
+let test_r12_fires () =
+  (* Unix.getpwnam, the aliased U.getgrgid, Unix.getaddrinfo, the
+     locally opened gethostbyname, Dynlink.loadfile and the Dynlink
+     module alias; getpid, gethostname and getuid stay clean *)
+  check_count "R12 count on bin/bad_nss" "bin/bad_nss.ml" "R12" 6;
+  message_of "bin/bad_nss.ml" "R12" "Unix.getgrgid";
+  message_of "bin/bad_nss.ml" "R12" "Unix.gethostbyname";
+  message_of "bin/bad_nss.ml" "R12" "Dynlink"
+
+let test_r12_shipped_only () =
+  check_count "R12 silent outside lib/ and bin/" "nss_in_tests.ml" "R12" 0
+
 let test_r10_suppression_counted () =
   let r = Lazy.force result in
   List.iter
@@ -306,6 +318,10 @@ let () =
             test_r11_fires_outside_io;
           Alcotest.test_case "R11 io.ml wrappers need a timeout bound"
             `Quick test_r11_io_needs_timeout;
+          Alcotest.test_case "R12 NSS and dlopen in shipped code" `Quick
+            test_r12_fires;
+          Alcotest.test_case "R12 is for shipped code only" `Quick
+            test_r12_shipped_only;
         ] );
       ( "pragmas",
         [

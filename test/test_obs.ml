@@ -105,9 +105,148 @@ let test_hit_rate () =
       | Some r -> check_bool "3/(3+1)" true (Float.abs (r -. 0.75) < 1e-9)
       | None -> Alcotest.fail "expected Some rate")
 
+let mentions needle s =
+  let n = String.length needle and h = String.length s in
+  let rec go i =
+    i + n <= h && (String.equal (String.sub s i n) needle || go (i + 1))
+  in
+  go 0
+
+(* A metric's stripes are created by its first write.  Until then
+   every reader treats the missing cells as zeros, a reset leaves the
+   metric registered, and the renderers skip it as they skip any
+   metric that reads zero. *)
+let test_unwritten_metrics () =
+  with_obs (fun () ->
+      let c = Obs.counter "test.unwritten.counter" in
+      let d = Obs.distribution "test.unwritten.dist" in
+      let reads_zero phase =
+        check_int (phase ^ ": counter") 0 (Obs.counter_value c);
+        let s = Obs.distribution_value d in
+        check_int (phase ^ ": count") 0 s.Obs.d_count;
+        check_int (phase ^ ": sum") 0 s.Obs.d_sum;
+        check_bool (phase ^ ": min and max are the empty sentinels") true
+          (s.Obs.d_min = max_int && s.Obs.d_max = min_int);
+        check_bool (phase ^ ": no quantile") true
+          (Option.is_none (Obs.quantile d 0.5));
+        check_bool (phase ^ ": empty buckets") true
+          (Array.for_all (fun n -> n = 0) (Obs.distribution_buckets d));
+        check_bool (phase ^ ": counters () lists it at 0") true
+          (List.mem ("test.unwritten.counter", 0) (Obs.counters ()));
+        check_bool (phase ^ ": distributions () lists it") true
+          (List.mem_assoc "test.unwritten.dist" (Obs.distributions ()))
+      in
+      reads_zero "registered";
+      Obs.reset ();
+      reads_zero "after reset";
+      let snap = Snapshot.capture () in
+      check_bool "snapshot skips the unwritten counter" false
+        (List.mem_assoc "wlcq_test_unwritten_counter" snap.Snapshot.s_counters);
+      check_bool "snapshot skips the unwritten distribution" false
+        (List.mem_assoc "wlcq_test_unwritten_dist" snap.Snapshot.s_hists);
+      check_bool "snapshot renders and parses back" true
+        (Result.is_ok (Snapshot.parse (Snapshot.render snap)));
+      check_bool "metrics table skips them" false
+        (mentions "test.unwritten" (Obs.metrics_table ()));
+      (* the first write creates the cells, and everything sees them *)
+      Obs.add c 5;
+      Obs.observe d 9;
+      check_int "first add" 5 (Obs.counter_value c);
+      check_bool "first observe" true
+        (Option.equal Int.equal (Obs.quantile d 0.5) (Some 9));
+      let snap = Snapshot.capture () in
+      check_bool "snapshot carries the counter" true
+        (Option.equal Int.equal
+           (List.assoc_opt "wlcq_test_unwritten_counter"
+              snap.Snapshot.s_counters)
+           (Some 5));
+      check_bool "snapshot carries the distribution" true
+        (List.mem_assoc "wlcq_test_unwritten_dist" snap.Snapshot.s_hists);
+      let table = Obs.metrics_table () in
+      check_bool "metrics table shows both" true
+        (mentions "test.unwritten.counter" table
+         && mentions "test.unwritten.dist" table);
+      Obs.reset ();
+      reads_zero "after a reset of written cells")
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency: striped counters under Domain.spawn                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Four domains race the first write to a fresh counter and a fresh
+   distribution: one CAS publishes each stripe array and a loser
+   adopts the winner's, so no write is lost.  A race is won or lost
+   within a microsecond, so it is rerun on fresh metrics; a plain
+   store in place of the CAS loses writes in most rounds.  The first
+   round also races the journal ring's creation (this case runs before
+   any other in the binary arms the journal): every entry reads back,
+   since 64 entries per domain cannot fill a 256-slot stripe even if
+   all four share one. *)
+let race_first_writes ~round ~journal =
+  let c = Obs.counter (Printf.sprintf "test.race.%d.counter" round) in
+  let d = Obs.distribution (Printf.sprintf "test.race.%d.dist" round) in
+  let domains = 4 and per_domain = 64 in
+  let ready = Atomic.make 0 in
+  let workers =
+    List.init domains (fun w ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < domains do
+              Domain.cpu_relax ()
+            done;
+            for i = 1 to per_domain do
+              Obs.incr c;
+              Obs.observe d i;
+              if journal then
+                Obs.journal
+                  ~attrs:
+                    [ ("writer", string_of_int w); ("i", string_of_int i) ]
+                  "test.race"
+            done))
+  in
+  List.iter Domain.join workers;
+  let total = domains * per_domain in
+  let name what = Printf.sprintf "round %d: %s" round what in
+  check_int (name "counter total") total (Obs.counter_value c);
+  let s = Obs.distribution_value d in
+  check_int (name "observations") total s.Obs.d_count;
+  check_int (name "sum") (domains * (per_domain * (per_domain + 1) / 2))
+    s.Obs.d_sum;
+  check_int (name "min") 1 s.Obs.d_min;
+  check_int (name "max") per_domain s.Obs.d_max;
+  check_int (name "bucketed observations") total
+    (Array.fold_left ( + ) 0 (Obs.distribution_buckets d));
+  if journal then begin
+    let entries = Obs.journal_entries () in
+    List.iter
+      (fun w ->
+         let is =
+           List.filter_map
+             (fun e ->
+                match e.Obs.j_attrs with
+                | [ ("writer", w'); ("i", i) ]
+                  when String.equal w' (string_of_int w) ->
+                  Some (int_of_string i)
+                | _ -> None)
+             entries
+         in
+         check_bool
+           (Printf.sprintf "writer %d's entries all read back" w)
+           true
+           (List.equal Int.equal (List.sort Int.compare is)
+              (List.init per_domain succ)))
+      (List.init domains Fun.id)
+  end
+
+let test_first_write_race () =
+  with_obs (fun () ->
+      Obs.set_journal true;
+      Fun.protect
+        ~finally:(fun () -> Obs.set_journal false)
+        (fun () -> race_first_writes ~round:0 ~journal:true);
+      for round = 1 to 100 do
+        race_first_writes ~round ~journal:false
+      done)
 
 let concurrent_sum_exact num_domains per_domain =
   Obs.reset ();
@@ -826,10 +965,13 @@ let () =
           Alcotest.test_case "reset and keep_trace" `Quick
             test_reset_semantics;
           Alcotest.test_case "report_hit_rate" `Quick test_hit_rate;
+          Alcotest.test_case "unwritten metrics read zero" `Quick
+            test_unwritten_metrics;
         ] );
       ( "concurrency",
-        List.map (QCheck_alcotest.to_alcotest ~long:false)
-          (obs_qcheck @ journal_qcheck) );
+        Alcotest.test_case "first writes race" `Quick test_first_write_race
+        :: List.map (QCheck_alcotest.to_alcotest ~long:false)
+             (obs_qcheck @ journal_qcheck) );
       ( "histograms",
         Alcotest.test_case "bucket geometry" `Quick test_bucket_geometry
         :: Alcotest.test_case "quantile empty and bounds" `Quick

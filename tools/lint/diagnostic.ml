@@ -1,4 +1,4 @@
-type rule = R0 | R1 | R2 | R3 | R4 | R6 | R7 | R8 | R9 | R10 | R11
+type rule = R0 | R1 | R2 | R3 | R4 | R6 | R7 | R8 | R9 | R10 | R11 | R12
 
 let rule_id = function
   | R0 -> "R0"
@@ -12,6 +12,7 @@ let rule_id = function
   | R9 -> "R9"
   | R10 -> "R10"
   | R11 -> "R11"
+  | R12 -> "R12"
 
 let rule_of_id = function
   | "R0" -> Some R0
@@ -25,6 +26,7 @@ let rule_of_id = function
   | "R9" -> Some R9
   | "R10" -> Some R10
   | "R11" -> Some R11
+  | "R12" -> Some R12
   | _ -> None
 
 (* Rules that once existed and were replaced: naming one in a pragma is
@@ -51,8 +53,11 @@ let rule_summary = function
   | R11 ->
     "blocking Unix call in the service tier outside the designated I/O \
      module (or without a timeout bound)"
+  | R12 ->
+    "NSS- or dlopen-backed call in shipped code (the Linux build links \
+     glibc statically)"
 
-let all_rules = [ R0; R1; R2; R3; R4; R6; R7; R8; R9; R10; R11 ]
+let all_rules = [ R0; R1; R2; R3; R4; R6; R7; R8; R9; R10; R11; R12 ]
 
 type t = { file : string; line : int; col : int; rule : rule; message : string }
 

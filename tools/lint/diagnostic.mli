@@ -41,6 +41,12 @@ type rule =
           functions that take an explicit [~timeout_s]-style bound —
           an unbounded blocking call anywhere else can stall the
           daemon's event loop behind one slow client *)
+  | R12
+      (** NSS- or [dlopen]-backed call in shipped code: under [lib/]
+          or [bin/], any use of [Dynlink] or of a [Unix] name-service
+          function ([getpwnam], [getaddrinfo], [gethostbyname], …).
+          The Linux build links glibc statically, and a static glibc
+          cannot serve these at run time *)
 
 val rule_id : rule -> string
 val rule_of_id : string -> rule option

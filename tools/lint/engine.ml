@@ -142,6 +142,8 @@ let scan_file ~parse_mutex file =
             (List.rev facts.Ast_rules.top_tables);
         let hot = Ast_rules.hot_engine_file ~in_lib file in
         let summary = Summaries.scan ~file ~in_lib ~hot ~report str in
+        Static_link.check ~file ~aliases:summary.Summaries.sum_aliases
+          ~report str;
         (Some (Domain_safety.make_info file facts), Some summary)
     in
     if in_lib then begin

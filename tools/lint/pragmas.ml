@@ -211,7 +211,7 @@ let parse_comment ~file (text, line, last_line) =
         | None ->
           malformed
             (Printf.sprintf
-               "malformed pragma: unknown rule %S (expected R1..R10)" rule_word)))
+               "malformed pragma: unknown rule %S (expected R1..R12)" rule_word)))
     | "domain-local" :: (_ :: _ as reason_words) ->
       Some
         (Ok { rule = Diagnostic.R3; line; last_line;
