@@ -6,22 +6,20 @@ let cycle n =
   Graph.create n ((n - 1, 0) :: List.init (n - 1) (fun i -> (i, i + 1)))
 
 let clique n =
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do edges := (u, v) :: !edges done
-  done;
-  Graph.create n !edges
+  Graph.init n (fun add ->
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do add u v done
+      done)
 
 let star k =
   if k < 0 then invalid_arg "Builders.star: negative leaf count";
   Graph.create (k + 1) (List.init k (fun i -> (0, i + 1)))
 
 let complete_bipartite a b =
-  let edges = ref [] in
-  for u = 0 to a - 1 do
-    for v = a to a + b - 1 do edges := (u, v) :: !edges done
-  done;
-  Graph.create (a + b) !edges
+  Graph.init (a + b) (fun add ->
+      for u = 0 to a - 1 do
+        for v = a to a + b - 1 do add u v done
+      done)
 
 let grid a b =
   let idx i j = (i * b) + j in

@@ -1,13 +1,12 @@
 module Prng = Wlcq_util.Prng
 
 let gnp rng n p =
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Prng.float rng < p then edges := (u, v) :: !edges
-    done
-  done;
-  Graph.create n !edges
+  Graph.init n (fun add ->
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Prng.float rng < p then add u v
+        done
+      done)
 
 let random_tree rng n =
   if n <= 0 then Graph.empty 0

@@ -7,19 +7,20 @@ let empty n =
   if n < 0 then invalid_arg "Graph.empty: negative vertex count";
   { n; adj = Array.init n (fun _ -> Bitset.create n); m = 0 }
 
-let create n edge_list =
+let init n fill =
   let g = empty n in
-  List.iter
-    (fun (u, v) ->
-       if u < 0 || u >= n || v < 0 || v >= n then
-         invalid_arg "Graph.create: endpoint out of range";
-       if u = v then invalid_arg "Graph.create: self-loop";
-       Bitset.set g.adj.(u) v;
-       Bitset.set g.adj.(v) u)
-    edge_list;
+  fill (fun u v ->
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Graph.create: endpoint out of range";
+      if u = v then invalid_arg "Graph.create: self-loop";
+      Bitset.set g.adj.(u) v;
+      Bitset.set g.adj.(v) u);
   let m = ref 0 in
   Array.iter (fun s -> m := !m + Bitset.cardinal s) g.adj;
   { g with m = !m / 2 }
+
+let create n edge_list =
+  init n (fun add -> List.iter (fun (u, v) -> add u v) edge_list)
 
 let num_vertices g = g.n
 let num_edges g = g.m

@@ -14,6 +14,15 @@ type t
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
 val create : int -> (int * int) list -> t
 
+(** [init n fill] builds a graph with [n] vertices from the edges that
+    [fill] passes to the [add u v] it is given, without an intermediate
+    edge list.  [add] makes {!create}'s checks, with its messages, in
+    the order the edges come; it must not be called after [fill]
+    returns.
+    @raise Invalid_argument on a negative [n] (before [fill] runs), a
+    self-loop or an out-of-range endpoint. *)
+val init : int -> ((int -> int -> unit) -> unit) -> t
+
 (** [empty n] has [n] vertices and no edges. *)
 val empty : int -> t
 

@@ -58,7 +58,6 @@ let decode s =
   let needed = (n * (n - 1) / 2 + 5) / 6 in
   if len - start <> needed then
     invalid_arg "Graph6.decode: wrong payload length";
-  let edges = ref [] in
   let pos = ref 0 in
   let bit () =
     let c = byte (start + (!pos / 6)) in
@@ -66,9 +65,9 @@ let decode s =
     incr pos;
     b
   in
-  for j = 1 to n - 1 do
-    for i = 0 to j - 1 do
-      if bit () = 1 then edges := (i, j) :: !edges
-    done
-  done;
-  Graph.create n !edges
+  Graph.init n (fun add ->
+      for j = 1 to n - 1 do
+        for i = 0 to j - 1 do
+          if bit () = 1 then add i j
+        done
+      done)

@@ -1,68 +1,25 @@
-(** Textual graph specifications for the command-line tools.
+(** Textual graph specifications for the command-line tools and the
+    daemon's wire.
 
     Accepted forms:
     - named families: [path:6], [cycle:5], [clique:4], [star:3],
       [bipartite:3,4], [grid:3,3], [hypercube:3], [wheel:5],
       [matching:3], [petersen], [twotriangles];
     - random graphs: [gnp:n,p,seed] (deterministic in the seed);
+    - graph6 strings: [g6:DUW];
     - explicit edge lists: ["6; 0-1 1-2 2-3"] — vertex count, then
       space-separated edges [u-v]. *)
 
-(** A parsed specification.  Specs are plain data: they can be compared,
-    hashed, printed back to their concrete syntax, and built into graphs
-    — which makes them usable as cache keys for memoising expensive
-    per-family work. *)
-type t =
-  | Path of int
-  | Cycle of int
-  | Clique of int
-  | Star of int
-  | Bipartite of int * int
-  | Grid of int * int
-  | Hypercube of int
-  | Wheel of int
-  | Matching of int
-  | Petersen
-  | Two_triangles
-  | Gnp of { n : int; p : float; seed : int }
-  | Graph6 of string
-  | Edges of { n : int; edges : (int * int) list }
-
-(** [parse_spec s] parses the concrete syntax without building the
-    graph.  Arity and small side-conditions (e.g. [cycle:N] needs
-    [N >= 3]) are checked here; graph-level validation (edge ranges,
-    self-loops, graph6 wellformedness) happens in {!build}. *)
-val parse_spec : string -> (t, string) result
-
-(** [build spec] constructs the graph.
-    @raise Invalid_argument when the spec's payload is invalid (bad
-    edge list, malformed graph6 string). *)
-val build : t -> Graph.t
-
-(** [parse s] is [parse_spec] followed by {!build}, with build-time
-    [Invalid_argument] turned into [Error]. *)
+(** [parse s] builds the graph [s] specifies.  An edge list is scanned
+    in place and filled straight into the graph's rows.  A spec whose
+    graph would have more than {!max_vertices} vertices, or whose
+    builder would visit more than [2^22] vertex pairs ([clique],
+    [bipartite], [gnp]), is an [Error] naming the limit, found before
+    anything is allocated. *)
 val parse : string -> (Graph.t, string) result
 
-(** [parse_exn s] raises [Invalid_argument] on malformed specs. *)
-val parse_exn : string -> Graph.t
-
-(** Structural equality of specs — NOT equality of the built graphs:
-    [clique:3] and [cycle:3] build equal graphs but are distinct
-    specs. *)
-val equal : t -> t -> bool
-
-(** Total order compatible with {!equal}. *)
-val compare : t -> t -> int
-
-(** [hash] is compatible with {!equal}. *)
-val hash : t -> int
-
-(** [pp] prints the concrete syntax accepted by {!parse_spec}. *)
-val pp : Format.formatter -> t -> unit
-
-(** [to_string s] is the concrete syntax, roundtripping through
-    {!parse_spec}. *)
-val to_string : t -> string
+(** The most vertices a spec may ask for: [2^14]. *)
+val max_vertices : int
 
 (** [describe] is a human-readable summary of the accepted forms (for
     [--help] texts). *)

@@ -108,8 +108,7 @@ let create cfg =
       { cfg with max_sessions = session_cap }
     end
   in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_w;
+  let wake_r, wake_w = Io.wake_pipe () in
   {
     cfg;
     stop_flag = Atomic.make false;
@@ -587,8 +586,14 @@ let run ?(on_listening = fun () -> ()) t =
            | None -> ())
       ready;
     drain_completions st ~now_ns;
-    Hashtbl.iter (fun _ s -> flush_session st s ~now_ns)
-      (Hashtbl.copy st.sessions);
+    (* flushing may reap, so collect the sessions with work first *)
+    List.iter
+      (fun s -> flush_session st s ~now_ns)
+      (Hashtbl.fold
+         (fun _ s acc ->
+            if Session.pending_output s > 0 || s.Session.closing then s :: acc
+            else acc)
+         st.sessions []);
     if not st.draining then reap_idle st ~now_ns
     else begin
       let waited_s =

@@ -7,9 +7,13 @@ type t = { n : int; words : int array }
 
 let nwords n = (n + bits_per_word - 1) / bits_per_word
 
+(* A one-word set (every row of a graph of at most 62 vertices) is
+   allocated inline; [Array.make] is a C call that costs several times
+   more. *)
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
-  { n; words = Array.make (max 1 (nwords n)) 0 }
+  let nw = nwords n in
+  { n; words = (if nw <= 1 then [| 0 |] else Array.make nw 0) }
 
 let capacity s = s.n
 
@@ -103,23 +107,26 @@ let popcount w =
   let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
   (w * 0x0101_0101_0101_0101) lsr 56
 
-let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
+let cardinal s =
+  let c = ref 0 in
+  for i = 0 to Array.length s.words - 1 do
+    c := !c + popcount s.words.(i)
+  done;
+  !c
 
 let is_empty s = Array.for_all (fun w -> w = 0) s.words
 
+(* [b - 1] holds exactly the bits below a word's lowest set bit [b],
+   so [popcount (b - 1)] is that member's index: O(1) per member,
+   wherever it sits in its word. *)
 let iter f s =
   (* lint: allow R7 one iteration per word of the set *)
   for w = 0 to Array.length s.words - 1 do
     let word = ref s.words.(w) in
-    (* lint: allow R7 clears one set bit per iteration, so at most
-       word-size iterations *)
     while !word <> 0 do
-      (* lowest set bit *)
       let b = !word land (- !word) in
-      (* lint: allow R7 halves the word each step, at most word-size *)
-      let rec log2 b i = if b = 1 then i else log2 (b lsr 1) (i + 1) in
-      f ((w * bits_per_word) + log2 b 0);
-      word := !word land lnot b
+      f ((w * bits_per_word) + popcount (b - 1));
+      word := !word lxor b
     done
   done
 

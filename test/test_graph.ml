@@ -476,6 +476,157 @@ let graph6_qcheck =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Spec                                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Spec_ref = Wlcq_oracle.Spec_ref
+
+let limit_error = function
+  | Error e ->
+    let prefix = "graph spec exceeds the limit " in
+    String.length e > String.length prefix
+    && String.equal (String.sub e 0 (String.length prefix)) prefix
+  | Ok _ -> false
+
+(* [Spec.parse] against the list-based reference: equal graphs or
+   identical error strings.  An edge list the reference reads with
+   more than [Spec.max_vertices] vertices is not built on its side
+   (it would allocate the rows); the shipped parser must refuse it by
+   the limit. *)
+let spec_agrees s =
+  match Spec_ref.parse_spec s with
+  | Ok (Spec_ref.Edges { n; _ }) when n > Spec.max_vertices ->
+    limit_error (Spec.parse s)
+  | _ -> (
+    match (Spec.parse s, Spec_ref.parse s) with
+    | Ok g, Ok h -> Graph.equal g h
+    | Error e, Error e' -> String.equal e e'
+    | Ok _, Error _ | Error _, Ok _ -> false)
+
+let test_spec_edge_lists () =
+  let edges s =
+    match Spec.parse s with
+    | Ok g -> Graph.to_string g
+    | Error e -> "error: " ^ e
+  in
+  let expect s want =
+    check_bool ("agrees with the reference: " ^ String.escaped s) true
+      (spec_agrees s);
+    Alcotest.(check string) (String.escaped s) want (edges s)
+  in
+  let graph n es = Graph.to_string (Graph.create n es) in
+  expect "3; 0-1 1-2" (graph 3 [ (0, 1); (1, 2) ]);
+  expect "3;" (graph 3 []);
+  expect "0;" (graph 0 []);
+  expect "  3 ;   " (graph 3 []);
+  expect "3; 0-1    1-2  " (graph 3 [ (0, 1); (1, 2) ]);
+  expect "3; 0-1 1-0 0-1" (graph 3 [ (0, 1) ]);
+  expect "3;\t0-1\n" (graph 3 [ (0, 1) ]);
+  expect "3; 0- 2" "error: bad edge \"0-\"";
+  expect "3; 0-1\t1-2" "error: bad edge \"0-1\\t1-2\"";
+  expect "3; 0-1; 1-2" "error: bad edge \"0-1;\"";
+  expect "3; 0-1-2" "error: bad edge \"0-1-2\"";
+  expect "3; -1-2" "error: bad edge \"-1-2\"";
+  expect "3; 99999999999999999999-1"
+    "error: bad edge \"99999999999999999999-1\"";
+  (* 19 digits: past the in-place reader, and past [max_int] *)
+  expect "3; 1-9999999999999999999" "error: bad edge \"1-9999999999999999999\"";
+  expect "3; 9999999999999999999-1" "error: bad edge \"9999999999999999999-1\"";
+  (* the edge list is trimmed before it is split *)
+  expect "3; 0-1 x\t" "error: bad edge \"x\"";
+  expect "3;\tx 0-1" "error: bad edge \"x\"";
+  expect "3; 0000000000000000001-2" (graph 3 [ (1, 2) ]);
+  (* non-decimal spellings are OCaml's integer literals *)
+  expect "3; 0x1-0b10" (graph 3 [ (1, 2) ]);
+  expect "3; +0-0o2 000000000000000000001-2" (graph 3 [ (0, 2); (1, 2) ]);
+  expect "3; 1_0-2" "error: Graph.create: endpoint out of range";
+  expect "x; 0-1" "error: edge list must start with the vertex count";
+  expect "; 0-1" "error: edge list must start with the vertex count";
+  expect "-3; 0-1" "error: Graph.empty: negative vertex count";
+  expect "3; 0-3" "error: Graph.create: endpoint out of range";
+  expect "3; 0-1 2-2 0-5" "error: Graph.create: self-loop";
+  expect "3; 0-5 2-2" "error: Graph.create: endpoint out of range"
+
+(* A spec's size is refused before anything is built, so each of
+   these returns at once; built, they would ask for gigabytes. *)
+let test_spec_bounds () =
+  List.iter
+    (fun s ->
+       let t0 = Unix.gettimeofday () in
+       let r = Spec.parse s in
+       let dt = Unix.gettimeofday () -. t0 in
+       check_bool (s ^ " refused by the limit") true (limit_error r);
+       check_bool
+         (Printf.sprintf "%s refused in under 50 ms (%.1f ms)" s (dt *. 1e3))
+         true (dt < 0.05))
+    [ "1000000; 0-1"; "path:1000000"; "clique:100000"; "hypercube:40";
+      "gnp:100000,0.5,1"; "16385;"; "hypercube:15"; "clique:2897";
+      "bipartite:2049,2049"; "grid:-100000,-100000"; "grid:1000000000,0";
+      "bipartite:4611686018427387903,-4611686018427387900" ];
+  List.iter
+    (fun (s, n) ->
+       match Spec.parse s with
+       | Ok g -> check_int (s ^ " vertices") n (Graph.num_vertices g)
+       | Error e -> Alcotest.failf "%s: %s" s e)
+    [ ("star:3000", 3001); ("3000;", 3000); ("clique:2896", 2896);
+      ("bipartite:2048,2048", 4096) ]
+
+(* An edge list rendered the way the benchmark's clients render one:
+   a random relabelling, shuffled edges, each in either orientation. *)
+let render_edge_list seed =
+  let rng = Prng.create seed in
+  let n = Prng.int rng 31 in
+  let g = Gen.gnp rng n (Prng.float rng) in
+  let p = Array.init n Fun.id in
+  Prng.shuffle rng p;
+  let edges = Array.of_list (Graph.edges g) in
+  Prng.shuffle rng edges;
+  String.concat ""
+    ((string_of_int n ^ ";")
+     :: Array.to_list
+          (Array.map
+             (fun (u, v) ->
+                let u, v = if Prng.bool rng then (u, v) else (v, u) in
+                Printf.sprintf " %d-%d" p.(u) p.(v))
+             edges))
+
+(* up to four insertions, deletions or replacements over the edge-list
+   alphabet *)
+let mutate seed s =
+  let rng = Prng.create seed in
+  let alphabet = "0123456789-; \t\nx+_" in
+  let pick () = alphabet.[Prng.int rng (String.length alphabet)] in
+  let s = ref s in
+  for _ = 0 to Prng.int rng 4 do
+    let len = String.length !s in
+    let at = Prng.int rng (len + 1) in
+    let before = String.sub !s 0 at in
+    let after keep = String.sub !s (len - keep) keep in
+    s :=
+      match Prng.int rng 3 with
+      | 0 -> before ^ String.make 1 (pick ()) ^ after (len - at)
+      | 1 when at < len -> before ^ after (len - at - 1)
+      | _ when at < len ->
+        before ^ String.make 1 (pick ()) ^ after (len - at - 1)
+      | _ -> !s
+  done;
+  !s
+
+let spec_qcheck =
+  let case = QCheck.make ~print:(Printf.sprintf "%S") in
+  [
+    QCheck.Test.make ~name:"rendered edge lists parse as the reference's"
+      ~count:300
+      (case QCheck.Gen.(map render_edge_list int))
+      spec_agrees;
+    QCheck.Test.make ~name:"mutated edge lists parse as the reference's"
+      ~count:1000
+      (case
+         QCheck.Gen.(map2 (fun a b -> mutate b (render_edge_list a)) int int))
+      spec_agrees;
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Spectral                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -649,6 +800,12 @@ let () =
           Alcotest.test_case "spec integration" `Quick test_graph6_in_spec;
         ] );
       qsuite "graph6-properties" graph6_qcheck;
+      ( "spec",
+        [
+          Alcotest.test_case "edge lists" `Quick test_spec_edge_lists;
+          Alcotest.test_case "size limits" `Quick test_spec_bounds;
+        ] );
+      qsuite "spec-oracle" spec_qcheck;
       ( "spectral",
         [
           Alcotest.test_case "known polynomials" `Quick test_charpoly_known;

@@ -829,6 +829,174 @@ let test_fault_storm () =
   check_bool "socket removed after drain" false (Sys.file_exists socket);
   check_bool "drained" false (Server.listening t)
 
+(* A spec past the size limit is refused before anything is built,
+   and the connection and the daemon go on serving. *)
+let test_oversized_spec_refused () =
+  with_server (fun ~socket ~t:_ ->
+      let c = expect_ok "connect" (Client.connect ~socket ()) in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let names_limit d =
+            List.exists
+              (fun w -> String.equal w "limit")
+              (String.split_on_char ' ' d)
+          in
+          List.iter
+            (fun (id, op) ->
+               let r = expect_ok id (Client.request c (req ~id op)) in
+               check_bool (id ^ " answered with an error") true
+                 (status_is Wire.Error_ r);
+               check_bool (id ^ " names the limit") true
+                 (names_limit r.Wire.r_detail))
+            [ ("tw", Wire.Treewidth { graph = "1000000; 0-1" });
+              ("count", Wire.Count { query = edge_query; graph = "clique:100000" });
+              ("decide", Wire.Decide { k = 1; g1 = "hypercube:40"; g2 = "path:3" });
+              ("gnp", Wire.Treewidth { graph = "gnp:100000,0.5,1" }) ];
+          let r =
+            expect_ok "next"
+              (Client.request c (req ~id:"next" (Wire.Treewidth { graph = "cycle:5" })))
+          in
+          check_bool "next request served" true (status_is Wire.Ok_ r);
+          check_string "next request answered" "2" r.Wire.r_value))
+
+(* ------------------------------------------------------------------ *)
+(* Io on non-blocking descriptors                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each operation makes its call first and waits only after EAGAIN,
+   within its bound.  [Client.call] runs every piece end to end in the
+   e2e cases "1 ms deadline degrades, daemon lives", "unallocatable
+   decide names the cause", "idle sessions are reaped", "periodic
+   flush writes the snapshot" and the fault storm; "request cycle over
+   one connection" drives [Client.connect] and [Client.request]. *)
+
+module Io = Wlcq_serve.Io
+
+let elapsed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* [f client server listener] on a connection made by [Io] itself: a
+   listener, a client end from [Io.connect] and its peer from
+   [Io.accept] *)
+let with_io_sockets f =
+  let path = fresh_socket () in
+  let l = Io.listen ~path ~backlog:4 in
+  let c = expect_ok "connect" (Io.connect ~timeout_s:1.0 ~path) in
+  let s =
+    match Io.accept ~timeout_s:1.0 l with
+    | Some s -> s
+    | None -> Alcotest.fail "accept timed out"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Io.close [ c; s; l ];
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f c s l)
+
+let with_io_pair f = with_io_sockets (fun c s _ -> f c s)
+
+(* A zero-bound call on a blocking descriptor would wait in the
+   kernel; [SO_RCVTIMEO] caps that wait at 1 s, so a blocking socket
+   shows up as a slow call instead of a hung test. *)
+let test_io_nonblocking () =
+  with_io_sockets (fun c s l ->
+      List.iter (fun fd -> Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0) [ c; s; l ];
+      let buf = Bytes.create 8 in
+      List.iter
+        (fun (what, fd) ->
+           match elapsed (fun () -> Io.read ~timeout_s:0.0 fd buf) with
+           | Io.Timeout, dt ->
+             check_bool (Printf.sprintf "%s reads at once (%.3f s)" what dt) true
+               (dt < 0.5)
+           | (Io.Data _ | Io.Eof | Io.Closed), _ ->
+             Alcotest.failf "%s: nothing was sent" what)
+        [ ("connected end", c); ("accepted end", s) ];
+      match elapsed (fun () -> Io.accept ~timeout_s:0.0 l) with
+      | None, dt ->
+        check_bool (Printf.sprintf "listener accepts at once (%.3f s)" dt) true
+          (dt < 0.5)
+      | Some _, _ -> Alcotest.fail "no connection was pending")
+
+let test_io_write_full () =
+  with_io_pair (fun c _ ->
+      (* the peer never reads: the first call fills the socket buffer *)
+      let big = String.make (4 lsl 20) 'x' in
+      match Io.write_all ~timeout_s:0.05 c big 0 with
+      | `All | `Closed -> Alcotest.fail "4 MB cannot fit an unread socket"
+      | `Partial pos -> (
+        check_bool "the buffer took some bytes" true (pos > 0);
+        match elapsed (fun () -> Io.write_all ~timeout_s:0.05 c big pos) with
+        | `Partial pos', dt ->
+          check_bool "a full buffer takes nothing" true (pos' = pos);
+          check_bool
+            (Printf.sprintf "waited its bound, within 0.5 s (%.3f s)" dt)
+            true
+            (dt >= 0.03 && dt < 0.5)
+        | (`All | `Closed), _ -> Alcotest.fail "expected a partial write"))
+
+let test_io_read_silent () =
+  with_io_pair (fun c s ->
+      let buf = Bytes.create 64 in
+      (match elapsed (fun () -> Io.read ~timeout_s:0.05 c buf) with
+       | Io.Timeout, dt ->
+         check_bool
+           (Printf.sprintf "timed out within 0.5 s (%.3f s)" dt)
+           true
+           (dt >= 0.03 && dt < 0.5)
+       | (Io.Data _ | Io.Eof | Io.Closed), _ ->
+         Alcotest.fail "a silent peer must time out");
+      (match elapsed (fun () -> Io.read ~timeout_s:0.0 c buf) with
+       | Io.Timeout, dt ->
+         check_bool (Printf.sprintf "zero bound returns at once (%.4f s)" dt) true
+           (dt < 0.025)
+       | (Io.Data _ | Io.Eof | Io.Closed), _ ->
+         Alcotest.fail "a silent peer must time out");
+      check_bool "the peer's bytes arrive" true
+        (match Io.write_all ~timeout_s:0.05 s "abc" 0 with
+         | `All -> (
+           match Io.read ~timeout_s:1.0 c buf with
+           | Io.Data 3 -> true
+           | Io.Data _ | Io.Eof | Io.Timeout | Io.Closed -> false)
+         | `Partial _ | `Closed -> false);
+      Io.close s;
+      check_bool "the peer's close reads as Eof" true
+        (match Io.read ~timeout_s:1.0 c buf with
+         | Io.Eof -> true
+         | Io.Data _ | Io.Timeout | Io.Closed -> false))
+
+let test_io_wake_pipe () =
+  let r, w = Io.wake_pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Io.close r;
+      Io.close w)
+    (fun () ->
+      let chunk = String.make 4096 '!' in
+      let rec fill n =
+        match Unix.write_substring w chunk 0 4096 with
+        | k -> fill (n + k)
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> n
+      in
+      check_bool "the pipe filled" true (fill 0 > 0);
+      let (), dt = elapsed (fun () -> Io.notify ~timeout_s:0.0 w) in
+      check_bool (Printf.sprintf "notify on a full pipe returns (%.4f s)" dt) true
+        (dt < 0.025);
+      let (), dt = elapsed (fun () -> Io.notify ~timeout_s:0.05 w) in
+      check_bool (Printf.sprintf "a bounded notify returns (%.3f s)" dt) true
+        (dt < 0.5);
+      let buf = Bytes.create 1 in
+      Io.drain_notifications ~timeout_s:0.0 r;
+      check_bool "drained" true
+        (match Io.read ~timeout_s:0.0 r buf with
+         | Io.Timeout -> true
+         | Io.Data _ | Io.Eof | Io.Closed -> false);
+      Io.notify ~timeout_s:0.0 w;
+      check_bool "a wakeup after the drain arrives" true
+        (match Io.read ~timeout_s:0.0 r buf with
+         | Io.Data 1 -> true
+         | Io.Data _ | Io.Timeout | Io.Eof | Io.Closed -> false))
+
 (* ------------------------------------------------------------------ *)
 (* The answer store                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1029,6 +1197,19 @@ let () =
             test_free_variables_keyed;
           Alcotest.test_case "large graphs answer within the deadline" `Quick
             test_large_graph_prompt;
+          Alcotest.test_case "oversized specs are refused, daemon lives" `Quick
+            test_oversized_spec_refused;
+        ] );
+      ( "io",
+        [
+          Alcotest.test_case "descriptors are non-blocking" `Quick
+            test_io_nonblocking;
+          Alcotest.test_case "write_all on a full socket is partial" `Quick
+            test_io_write_full;
+          Alcotest.test_case "read from a silent peer times out" `Quick
+            test_io_read_silent;
+          Alcotest.test_case "wake pipe: full notify, drain" `Quick
+            test_io_wake_pipe;
         ] );
       ( "storm",
         [ Alcotest.test_case "500-fault storm, clean drain" `Slow

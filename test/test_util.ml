@@ -96,6 +96,38 @@ let bitset_qcheck =
          let c = Bitset.complement a in
          Bitset.cardinal a = List.length (Bitset.to_list a)
          && Bitset.cardinal c = List.length (Bitset.to_list c));
+    (* member iteration against a [mem] scan, at the word boundaries
+       (62 bits a word) and with words up to full *)
+    QCheck.Test.make ~name:"bitset iteration matches a mem scan" ~count:300
+      QCheck.(
+        make
+          ~print:(fun (n, xs) ->
+              Printf.sprintf "capacity %d, {%s}" n
+                (String.concat "," (List.map string_of_int xs)))
+          Gen.(
+            oneofl [ 0; 1; 61; 62; 63; 124; 125; 200 ] >>= fun n ->
+            oneofl [ 0.0; 0.05; 0.5; 0.95; 1.0 ] >>= fun p ->
+            let member i =
+              map (fun x -> if x < p then Some i else None)
+                (float_bound_exclusive 1.0)
+            in
+            map
+              (fun keep -> (n, List.filter_map Fun.id keep))
+              (flatten_l (List.init n member))))
+      (fun (n, xs) ->
+         let s = Bitset.of_list n xs in
+         let scan = List.filter (Bitset.mem s) (List.init n Fun.id) in
+         let same = List.equal Int.equal in
+         let iterated = ref [] in
+         Bitset.iter (fun i -> iterated := i :: !iterated) s;
+         same (List.rev !iterated) scan
+         && same (Bitset.fold (fun i acc -> i :: acc) s []) (List.rev scan)
+         && same (Bitset.to_list s) scan
+         &&
+         match (Bitset.choose s, scan) with
+         | c, m :: _ -> c = m
+         | _, [] -> false
+         | exception Not_found -> List.is_empty scan);
   ]
 
 (* ------------------------------------------------------------------ *)

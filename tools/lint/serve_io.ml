@@ -4,8 +4,9 @@
    client socket; one unbounded [Unix.read] against a stalled client
    freezes the whole daemon.  The architectural answer in [lib/serve]
    is a designated I/O module ([io.ml]) whose wrappers all take an
-   explicit [~timeout_s] bound and implement it with [select] before
-   every blocking operation.  This rule pins that architecture:
+   explicit [~timeout_s] bound: they work on non-blocking descriptors
+   and wait in [select], for at most that bound, only after a call
+   reports [EAGAIN].  This rule pins that architecture:
 
    - any blocking Unix call ([accept]/[read]/[write]/[select]/...)
      in a [lib/serve] file other than [io.ml] is a finding — route it
