@@ -94,7 +94,7 @@ let t1 () =
   header "T1" "k-star queries: tw = 1 but sew = WL-dimension = k";
   Printf.printf "%-3s %-8s %-6s %-6s %-14s %-9s %-7s %-7s\n" "k" "tw(S_k)"
     "ew" "sew" "Gamma=K_{k+1}" "minimal" "WL-dim" "verdict";
-  for k = 1 to 6 do
+  for k = 1 to 8 do
     let q = Star.query k in
     let tw = TW.Exact.treewidth q.Cq.graph in
     let ew = Extension.extension_width q in

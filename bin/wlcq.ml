@@ -591,7 +591,8 @@ let kg_widths_cmd =
     let degraded = ref false in
     let show to_string f = show_measure degraded to_string f in
     Printf.printf "query:               %s\n" (Wlcq_kg.Kparser.to_formula p);
-    Printf.printf "connected:           %b\n" (Wlcq_kg.Kcq.is_connected q);
+    let connected = Wlcq_kg.Kcq.is_connected q in
+    Printf.printf "connected:           %b\n" connected;
     Printf.printf "counting minimal:    %s\n"
       (show string_of_bool (fun () ->
            Wlcq_kg.Kcq.is_counting_minimal ~budget q));
@@ -601,7 +602,9 @@ let kg_widths_cmd =
       (show string_of_int (fun () ->
            Wlcq_kg.Kcq.semantic_extension_width ~budget q));
     Printf.printf "WL-dimension:        %s\n"
-      (show string_of_int (fun () -> Wlcq_kg.Kcq.wl_dimension ~budget q));
+      (if connected && Wlcq_kg.Kcq.num_free q > 0 then
+         show string_of_int (fun () -> Wlcq_kg.Kcq.wl_dimension ~budget q)
+       else "n/a (connected queries with a free variable only)");
     if !degraded then exit exit_degraded
   in
   let doc =

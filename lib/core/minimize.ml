@@ -4,74 +4,45 @@ module Budget = Wlcq_robust.Budget
 
 exception Found of int array
 
-(* Search for an endomorphism of H that maps X bijectively onto X and
-   whose image misses at least one vertex.  Free variables are
-   restricted to land in X; bijectivity and image size are checked on
-   each enumerated endomorphism. *)
-let shrinking_raw ?budget q =
+(* One existence search per quantified vertex y: every free variable is
+   pinned to itself and no vertex may land on y. *)
+let retraction ?(budget = Budget.unlimited) ~free search =
+  let all = Bitset.full (Bitset.capacity free) in
+  let pins = List.map (fun x -> (x, x)) (Bitset.to_list free) in
+  let rec first = function
+    | [] -> None
+    | y :: ys -> (
+        (* [search] is the caller's closure: poll between searches *)
+        Budget.check budget;
+        let avoid = Bitset.remove all y in
+        match
+          search ~pins ~candidates:(fun _ -> avoid) (fun endo ->
+              raise (Found (Array.copy endo)))
+        with
+        | () -> first ys
+        | exception Found endo -> Some endo)
+  in
+  first (Bitset.to_list (Bitset.complement free))
+
+let shrinking_endomorphism ?(budget = Budget.unlimited) q =
   let h = q.Cq.graph in
-  let n = Graph.num_vertices h in
-  let free = q.Cq.free in
-  let candidates v =
-    if Bitset.mem free v then Bitset.copy free else Bitset.full n
-  in
-  try
-    Wlcq_hom.Brute.iter ?budget ~candidates h h (fun endo ->
-        let image = Bitset.create n in
-        Array.iter (fun v -> Bitset.set image v) endo;
-        if Bitset.cardinal image < n then begin
-          (* check that X maps bijectively onto X *)
-          let ximg = Bitset.create n in
-          let bijective = ref true in
-          Bitset.iter
-            (fun x ->
-               if Bitset.mem ximg endo.(x) then bijective := false
-               else Bitset.set ximg endo.(x))
-            free;
-          if !bijective && Bitset.equal ximg free then
-            raise (Found (Array.copy endo))
-        end);
-    None
-  with Found endo -> Some endo
+  retraction ~budget ~free:q.Cq.free (fun ~pins ~candidates ->
+      Wlcq_hom.Brute.iter ~budget ~pins ~candidates h h)
 
-(* Raise the endomorphism to the power that fixes X pointwise (the
-   order of the permutation it induces on X); the image can only
-   shrink, so the result still has a proper image. *)
-let fix_free_pointwise ?(budget = Budget.unlimited) q endo =
-  let compose f g = Array.init (Array.length g) (fun v -> f.(g.(v))) in
-  let identity_on_free h = Bitset.for_all (fun x -> h.(x) = x) q.Cq.free in
-  (* the iteration count is the order of the permutation [endo]
-     induces on X — up to exponential in |X| — so poll each step *)
-  let rec go h =
-    Budget.tick_check budget;
-    if identity_on_free h then h else go (compose endo h)
-  in
-  go endo
-
-let shrinking_endomorphism ?budget q =
-  Option.map (fix_free_pointwise ?budget q) (shrinking_raw ?budget q)
-
-let is_counting_minimal q = Option.is_none (shrinking_raw q)
+let is_counting_minimal q = Option.is_none (shrinking_endomorphism q)
 
 let rec counting_core ?budget q =
   match shrinking_endomorphism ?budget q with
   | None -> q
   | Some endo ->
     let h = q.Cq.graph in
-    let n = Graph.num_vertices h in
-    let image = Bitset.create n in
-    Array.iter (fun v -> Bitset.set image v) endo;
-    let members = Bitset.to_list image in
-    let sub, back = Ops.induced h members in
-    (* back maps new labels to old; invert to relocate X *)
-    let new_of_old = Hashtbl.create n in
-    Array.iteri (fun i v -> Hashtbl.replace new_of_old v i) back;
-    let relocate v =
-      (* total: [endo] fixes X pointwise, so every free variable is in
-         the image and hence in [back] *)
-      match Hashtbl.find_opt new_of_old v with
-      | Some i -> i
-      | None -> assert false
+    let image = Bitset.of_list (Graph.num_vertices h) (Array.to_list endo) in
+    (* [back] maps new labels to old in increasing order, and [endo]
+       fixes X, so X is the set of new labels whose old one is free *)
+    let sub, back = Ops.induced h (Bitset.to_list image) in
+    let new_free =
+      List.filter
+        (fun i -> Bitset.mem q.Cq.free back.(i))
+        (List.init (Array.length back) Fun.id)
     in
-    let new_free = List.map relocate (Bitset.to_list q.Cq.free) in
     counting_core ?budget (Cq.make sub new_free)

@@ -4,22 +4,41 @@
     of answers in every graph; each equivalence class has a unique (up
     to isomorphism) minimal representative, the {e counting core}.
 
-    The core is computed by repeatedly shrinking with endomorphisms:
-    whenever [H] admits an endomorphism [h] that maps [X] bijectively
-    onto [X] and whose image is a proper subset of [V(H)], the query
-    retracts onto the induced subgraph on the image of a suitable power
-    of [h] (the power fixing [X] pointwise), which preserves the set of
-    answers in every graph.  At the fixed point no such endomorphism
-    exists, which is exactly the counting-minimality criterion behind
-    Lemma 44.  For full queries ([X = V(H)]) every such endomorphism is
-    an automorphism, so full queries are always minimal (Section 5). *)
+    [(H, X)] is counting minimal when no endomorphism maps [X]
+    bijectively onto [X] with a proper image.  One exists exactly when
+    an endomorphism fixes [X] pointwise and misses a quantified vertex
+    [y]: a power of the first (the order of the permutation it induces
+    on [X]) is the second, since powering only shrinks the image.  So
+    minimality is one pinned existence search per [y] — [X] pinned to
+    itself, every vertex mapped into [V(H) − y] — the core-by-retraction
+    algorithm (Hell–Nešetřil) with [X] pinned.  The core is the
+    subgraph induced on the image of the first map found, taken
+    recursively; it has the same answers in every graph.  Full queries
+    ([X = V(H)]) leave nothing to search, so they are always minimal
+    (Section 5). *)
 
+module Bitset = Wlcq_util.Bitset
 module Budget = Wlcq_robust.Budget
+
+(** [retraction ~free search] runs [search ~pins ~candidates f] once per
+    vertex [y] outside [free], in increasing order: [pins] sends every
+    member of [free] to itself and [candidates] gives every vertex
+    [V − y], where [V] is [free]'s universe.  [search] applies [f] to
+    each endomorphism it finds, as {!Wlcq_hom.Brute.iter} does.  The
+    result is a copy of the first one found, which fixes [free]
+    pointwise and misses [y].  [budget] is polled once per [y].
+    @raise Budget.Exhausted when [budget] trips. *)
+val retraction :
+  ?budget:Budget.t ->
+  free:Bitset.t ->
+  (pins:(int * int) list -> candidates:(int -> Bitset.t) ->
+   (int array -> unit) -> unit) ->
+  int array option
 
 (** [counting_core q] is the counting-minimal representative of [q]'s
     counting-equivalence class (free variables keep their relative
-    order; vertex labels are compacted).  The endomorphism search is
-    budgeted through {!Wlcq_hom.Brute.iter}.
+    order; vertex labels are compacted).  The searches run on
+    {!Wlcq_hom.Brute.iter} under [budget].
     @raise Budget.Exhausted when [budget] trips mid-search. *)
 val counting_core : ?budget:Budget.t -> Cq.t -> Cq.t
 

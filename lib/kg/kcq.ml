@@ -1,7 +1,5 @@
 module Bitset = Wlcq_util.Bitset
 module Budget = Wlcq_robust.Budget
-module Graph = Wlcq_graph.Graph
-module Ops = Wlcq_graph.Ops
 module Traversal = Wlcq_graph.Traversal
 
 type t = { graph : Kgraph.t; free : Bitset.t }
@@ -48,80 +46,20 @@ let count_answers ?(budget = Budget.unlimited) q g =
     !count
   end
 
-(* Γ over the underlying Gaifman graph *)
-let quantified_components q =
-  let under = Kgraph.underlying q.graph in
-  let ys = Array.to_list (quantified_vars q) in
-  if List.is_empty ys then []
-  else begin
-    let sub, back = Ops.induced under ys in
-    List.map
-      (fun comp ->
-         let members = List.map (fun v -> back.(v)) comp in
-         let attached =
-           List.sort_uniq Int.compare
-             (List.concat_map
-                (fun y ->
-                   List.filter
-                     (fun w -> Bitset.mem q.free w)
-                     (Graph.neighbours_list under y))
-                members)
-         in
-         (members, attached))
-      (Traversal.component_members sub)
-  end
+let extension_width ?budget q =
+  Wlcq_core.Extension.extension_width ?budget
+    (Wlcq_core.Cq.make (Kgraph.underlying q.graph) (Bitset.to_list q.free))
 
-let gamma_graph q =
-  let under = Kgraph.underlying q.graph in
-  let extra =
-    List.concat_map
-      (fun (_, attached) ->
-         let rec pairs = function
-           | [] -> []
-           | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
-         in
-         pairs attached)
-      (quantified_components q)
-  in
-  Ops.add_edges under extra
+(* counting cores through Wlcq_core.Minimize's pinned retraction search,
+   run over label- and direction-preserving endomorphisms *)
 
-let extension_width ?(budget = Budget.unlimited) q =
-  Wlcq_core.Extension.exact_tw ~budget (gamma_graph q)
-
-(* counting-core machinery, mirroring Wlcq_core.Minimize over
-   label-preserving knowledge-graph endomorphisms *)
-
-exception Found of int array
-
-let shrinking_raw ~budget q =
+let shrinking_endomorphism ~budget q =
   let h = q.graph in
-  let n = Kgraph.num_vertices h in
-  try
-    Khom.iter ~budget h h (fun endo ->
-        let image = Bitset.create n in
-        Array.iter (fun v -> Bitset.set image v) endo;
-        if Bitset.cardinal image < n then begin
-          let ximg = Bitset.create n in
-          let bijective = ref true in
-          Bitset.iter
-            (fun x ->
-               if Bitset.mem ximg endo.(x) then bijective := false
-               else Bitset.set ximg endo.(x))
-            q.free;
-          if !bijective && Bitset.equal ximg q.free then
-            raise (Found (Array.copy endo))
-        end);
-    None
-  with Found endo -> Some endo
-
-let fix_free_pointwise q endo =
-  let compose f g = Array.init (Array.length g) (fun v -> f.(g.(v))) in
-  let identity_on_free h = Bitset.for_all (fun x -> h.(x) = x) q.free in
-  let rec go h = if identity_on_free h then h else go (compose endo h) in
-  go endo
+  Wlcq_core.Minimize.retraction ~budget ~free:q.free
+    (fun ~pins ~candidates -> Khom.iter ~budget ~pins ~candidates h h)
 
 let is_counting_minimal ?(budget = Budget.unlimited) q =
-  Option.is_none (shrinking_raw ~budget q)
+  Option.is_none (shrinking_endomorphism ~budget q)
 
 let induced_kgraph h members =
   let members = Array.of_list members in
@@ -141,17 +79,18 @@ let induced_kgraph h members =
   (Kgraph.create ~n:(Array.length members) ~vertex_labels ~edges, members)
 
 let rec counting_core ?(budget = Budget.unlimited) q =
-  match Option.map (fix_free_pointwise q) (shrinking_raw ~budget q) with
+  match shrinking_endomorphism ~budget q with
   | None -> q
   | Some endo ->
     let n = Kgraph.num_vertices q.graph in
-    let image = Bitset.create n in
-    Array.iter (fun v -> Bitset.set image v) endo;
+    let image = Bitset.of_list n (Array.to_list endo) in
+    (* [back] maps new labels to old in increasing order, and [endo]
+       fixes X, so X is the set of new labels whose old one is free *)
     let sub, back = induced_kgraph q.graph (Bitset.to_list image) in
-    let new_of_old = Hashtbl.create n in
-    Array.iteri (fun i v -> Hashtbl.replace new_of_old v i) back;
     let new_free =
-      List.map (Hashtbl.find new_of_old) (Bitset.to_list q.free)
+      List.filter
+        (fun i -> Bitset.mem q.free back.(i))
+        (List.init (Array.length back) Fun.id)
     in
     counting_core ~budget (make sub new_free)
 

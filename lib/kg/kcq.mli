@@ -35,26 +35,26 @@ val is_answer : ?budget:Budget.t -> t -> Kgraph.t -> int array -> bool
     @raise Budget.Exhausted when [budget] trips. *)
 val count_answers : ?budget:Budget.t -> t -> Kgraph.t -> int
 
-(** [gamma_graph q] is [Γ(H, X)] over the underlying graph: [H]'s
-    Gaifman graph plus an edge between free variables sharing an
-    adjacent quantified component. *)
-val gamma_graph : t -> Wlcq_graph.Graph.t
-
-(** [extension_width q] is [tw(Γ(H, X))].  Like
-    {!Wlcq_core.Extension.extension_width}, it has no use for a
-    degraded bound.
+(** [extension_width q] is [tw(Γ(H, X))], with [Γ] taken over the
+    underlying graph: {!Wlcq_core.Extension.extension_width} of
+    [H]'s Gaifman graph with the same free variables.  It has no use
+    for a degraded bound.
     @raise Budget.Exhausted when [budget] trips. *)
 val extension_width : ?budget:Budget.t -> t -> int
 
-(** [counting_core q] is the counting-minimal representative, computed
-    by shrinking with label- and direction-preserving endomorphisms
-    that fix [X] pointwise (the Lemma 44 machinery lifted to knowledge
-    graphs).  [budget] is ticked per endomorphism-search node.
+(** [counting_core q] is the counting-minimal representative (the
+    Lemma 44 machinery lifted to knowledge graphs): the image of a
+    label- and direction-preserving endomorphism that fixes [X]
+    pointwise and misses a quantified variable, induced and taken
+    recursively.  The maps come from {!Wlcq_core.Minimize.retraction}
+    over {!Khom.iter}; [budget] is polled once per quantified variable
+    and ticked per search node.
     @raise Budget.Exhausted when [budget] trips. *)
 val counting_core : ?budget:Budget.t -> t -> t
 
-(** [is_counting_minimal q] holds when no shrinking endomorphism
-    exists.
+(** [is_counting_minimal q] holds when no endomorphism fixes [X]
+    pointwise and misses a quantified variable (equivalently, none maps
+    [X] bijectively onto [X] with a proper image).
     @raise Budget.Exhausted when [budget] trips. *)
 val is_counting_minimal : ?budget:Budget.t -> t -> bool
 

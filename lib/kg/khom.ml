@@ -2,6 +2,7 @@
    underlying connectivity, pruning candidates by vertex label and by
    labelled-edge consistency with already-assigned neighbours. *)
 
+module Bitset = Wlcq_util.Bitset
 module Budget = Wlcq_robust.Budget
 
 let assignment_order h pins =
@@ -31,7 +32,7 @@ let assignment_order h pins =
   done;
   Array.of_list (List.rev !order)
 
-let iter ?(budget = Budget.unlimited) ?(pins = []) h g f =
+let iter ?(budget = Budget.unlimited) ?(pins = []) ?candidates h g f =
   let n = Kgraph.num_vertices h in
   let ng = Kgraph.num_vertices g in
   if n = 0 then f [||]
@@ -63,6 +64,7 @@ let iter ?(budget = Budget.unlimited) ?(pins = []) h g f =
              (Kgraph.in_edges h u))
         (Array.init n (fun i -> order.(i)))
     in
+    let all = Bitset.full ng in
     let rec go i =
       Budget.tick_check budget;
       if i = n then f image
@@ -82,11 +84,11 @@ let iter ?(budget = Budget.unlimited) ?(pins = []) h g f =
             image.(u) <- -1
           end
         in
-        if pinned.(u) >= 0 then try_v pinned.(u)
-        else
-          for v = 0 to ng - 1 do
-            try_v v
-          done
+        let base = match candidates with None -> all | Some c -> c u in
+        if pinned.(u) >= 0 then begin
+          if Bitset.mem base pinned.(u) then try_v pinned.(u)
+        end
+        else Bitset.iter try_v base
       end
     in
     go 0

@@ -7,15 +7,20 @@
     unconstrained), while any other label must be matched exactly.
     This composes: the counting-core retractions of {!Kcq} rely on
     [g ∘ φ] being a homomorphism whenever [φ] and [g] are.  Mirrors
-    {!Wlcq_hom.Brute} (pins included). *)
+    {!Wlcq_hom.Brute} (pins and candidates included). *)
 
-(** [iter ?budget ?pins h g f] applies [f] to every homomorphism from
-    [h] to [g]; the array is reused between calls.  [budget] is ticked
-    once per search node.
+(** [iter ?budget ?pins ?candidates h g f] applies [f] to every
+    homomorphism from [h] to [g]; the array is reused between calls.
+    [pins] prescribes the images of selected [h]-vertices, and
+    [candidates u] restricts the image of [u] to a set of [g]-vertices
+    (a pin outside it admits no homomorphism); {!Kcq}'s counting core
+    passes [V(h) − y] to every vertex.  [budget] is ticked once per
+    search node.
     @raise Wlcq_robust.Budget.Exhausted when [budget] trips. *)
 val iter :
   ?budget:Wlcq_robust.Budget.t ->
   ?pins:(int * int) list ->
+  ?candidates:(int -> Wlcq_util.Bitset.t) ->
   Kgraph.t ->
   Kgraph.t ->
   (int array -> unit) ->

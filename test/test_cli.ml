@@ -246,24 +246,104 @@ let test_cfi_budget () =
       ("K5 under 1 ms", "cfi --base clique:5 --check-wl 2 --deadline-ms 1",
        "2-WL-equivalent: undecided   (exhausted: deadline)") ]
 
-(* kg-widths: a 7-leaf star has 7^7 endomorphisms to rule out before
-   it is known to be counting minimal, about a second of search; a
-   1 ms deadline must stop it with every exact measure reported as
-   exhausted *)
+(* kg-widths: with every variable free the counting core is the query
+   itself, and each exact measure is the treewidth of the underlying
+   graph, here the edges of `gnp:22,0.3,5` (treewidth 8 after 86,139
+   branch-and-bound nodes).  Unbudgeted the command takes about 0.2 s;
+   a 1 ms deadline must stop it with every exact measure reported as
+   exhausted. *)
+let gnp22_edges =
+  "0-3 0-4 0-5 0-12 0-19 0-21 1-3 1-5 1-8 1-11 1-12 1-19 1-20 2-5 2-8 2-10 \
+   2-13 2-21 3-7 3-10 3-11 3-17 3-19 3-20 3-21 4-8 4-9 4-10 4-12 5-7 5-8 \
+   5-19 6-8 6-20 7-12 7-16 7-19 8-12 8-14 8-16 8-18 8-19 9-11 9-14 9-17 \
+   9-19 9-20 10-13 10-15 11-15 12-14 13-16 13-18 14-18 14-21 15-17 16-19 \
+   17-20 20-21"
+
 let test_kg_widths_budget () =
-  let leaves = List.init 7 (fun i -> Printf.sprintf "x%d" (i + 1)) in
-  let star =
-    Printf.sprintf "\"(%s) := exists z . %s\"" (String.concat ", " leaves)
-      (String.concat " & "
-         (List.map (fun x -> Printf.sprintf "knows(%s, z)" x) leaves))
+  let atoms =
+    List.map
+      (fun e ->
+         match String.split_on_char '-' e with
+         | [ u; v ] -> Printf.sprintf "knows(x%s, x%s)" u v
+         | _ -> Alcotest.fail ("bad edge " ^ e))
+      (String.split_on_char ' ' gnp22_edges)
   in
-  let code, out = run_stdout ("kg-widths " ^ star ^ " --deadline-ms 1") in
+  let query =
+    Printf.sprintf "\"(%s) := %s\""
+      (String.concat ", " (List.init 22 (Printf.sprintf "x%d")))
+      (String.concat " & " atoms)
+  in
+  let code, out = run_stdout ("kg-widths " ^ query ^ " --deadline-ms 1") in
   Alcotest.(check int) "kg-widths under 1 ms: exit code" 3 code;
   Alcotest.(check bool) "kg-widths under 1 ms: names the trip" true
     (contains "exhausted (deadline)" out);
   check_code "kg-widths with slack deadline" 0
     "kg-widths \"(x, y) := exists z . knows(x, z) & knows(z, y)\" \
      --deadline-ms 10000"
+
+(* kg-widths reports the WL-dimension only where Kcq defines it
+   (connected queries with a free variable); the other measures of a
+   disconnected or boolean query are defined and still printed *)
+let test_kg_widths_no_dimension () =
+  List.iter
+    (fun query ->
+       let code, stderr_text = run_capture ("kg-widths " ^ query) in
+       let _, out = run_stdout ("kg-widths " ^ query) in
+       Alcotest.(check int) (query ^ ": exit code") 0 code;
+       Alcotest.(check string) (query ^ ": stderr") "" stderr_text;
+       Alcotest.(check bool) (query ^ ": dimension n/a") true
+         (String.ends_with
+            ~suffix:
+              "\nWL-dimension:        n/a (connected queries with a free \
+               variable only)"
+            out);
+       Alcotest.(check bool) (query ^ ": widths printed") true
+         (contains "\nsemantic ext. width: 1\n" out))
+    [ "\"(x, z) := exists y . knows(x, y)\"";
+      "\"() := exists y1 y2 . knows(y1, y2)\"" ]
+
+(* The 8-leaf star is counting minimal: one pinned retraction search
+   for its centre settles it, and the 1 s bound fails any search that
+   enumerates the 8^8 maps of its leaves into themselves (seconds per
+   core, three cores per command).  The expected lines are the
+   paper's values: sew = WL-dimension = 8 at treewidth 1. *)
+let test_widths_eight_star () =
+  let leaves = List.init 8 (fun i -> Printf.sprintf "x%d" (i + 1)) in
+  let star relation centre =
+    Printf.sprintf "(%s) := exists %s . %s" (String.concat ", " leaves) centre
+      (String.concat " & "
+         (List.map (fun x -> Printf.sprintf "%s(%s, %s)" relation x centre)
+            leaves))
+  in
+  let check_run name args expected =
+    let t0 = Unix.gettimeofday () in
+    let code, out = run_stdout args in
+    let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+    Alcotest.(check int) (name ^ ": exit code") 0 code;
+    Alcotest.(check string) (name ^ ": output") (String.concat "\n" expected)
+      out;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: answers within 1 s (took %.1f ms)" name ms)
+      true (ms <= 1000.0)
+  in
+  let plain = star "E" "y" and kg = star "knows" "z" in
+  check_run "widths" (Printf.sprintf "widths \"%s\"" plain)
+    [ "query:               " ^ plain;
+      "variables:           8 free, 1 quantified";
+      "connected:           true";
+      "counting minimal:    true";
+      "treewidth:           1";
+      "quantified star size:8";
+      "extension width:     8";
+      "semantic ext. width: 8";
+      "WL-dimension:        8   (Theorem 1)" ];
+  check_run "kg-widths" (Printf.sprintf "kg-widths \"%s\"" kg)
+    [ "query:               " ^ kg;
+      "connected:           true";
+      "counting minimal:    true";
+      "extension width:     8";
+      "semantic ext. width: 8";
+      "WL-dimension:        8" ]
 
 (* [invariants] surveys a fixed built-in library in tens of
    milliseconds, so it takes no budget flags: a deadline would promise
@@ -615,6 +695,13 @@ let () =
             test_quantum_counts_deadline;
           Alcotest.test_case "invariants takes no budget flags" `Quick
             test_invariants_no_budget;
+        ] );
+      ( "widths",
+        [
+          Alcotest.test_case "kg-widths without a dimension" `Quick
+            test_kg_widths_no_dimension;
+          Alcotest.test_case "8-leaf star within a second" `Quick
+            test_widths_eight_star;
         ] );
       ( "ans",
         [

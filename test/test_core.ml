@@ -6,6 +6,8 @@ module Prng = Wlcq_util.Prng
 module Td_ref = Wlcq_oracle.Td_ref
 module Fast_ref = Wlcq_oracle.Fast_ref
 module Enum_ref = Wlcq_oracle.Enum_ref
+module Core_ref = Wlcq_oracle.Core_ref
+module Budget = Wlcq_robust.Budget
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -199,6 +201,72 @@ let test_shrinking_endomorphism_properties () =
     let image = List.sort_uniq Int.compare (Array.to_list endo) in
     check_bool "proper image" true
       (List.length image < Graph.num_vertices q.Cq.graph)
+
+(* A tripped budget stops the core search before its first pinned
+   search; [retraction] polls it itself, also around a search that
+   never polls *)
+let test_core_tripped_budget () =
+  let budget = Budget.create () in
+  Budget.trip budget Budget.Deadline;
+  let q = parse "(x) := exists y1 y2 . E(x, y1) & E(y1, y2)" in
+  check_bool "counting_core raises" true
+    (match Minimize.counting_core ~budget q with
+     | _ -> false
+     | exception Budget.Exhausted Budget.Deadline -> true);
+  check_bool "retraction polls per quantified vertex" true
+    (match
+       Minimize.retraction ~budget ~free:q.Cq.free
+         (fun ~pins:_ ~candidates:_ _ -> ())
+     with
+     | _ -> false
+     | exception Budget.Exhausted Budget.Deadline -> true)
+
+(* Random queries for the differential against the enumeration: G(n, p)
+   with n = 1..7, so disconnected graphs and isolated (free) variables
+   are common, and a free set that is empty, full or random. *)
+let arb_query =
+  QCheck.(quad (int_range 1 7) (int_range 1 9) (int_range 0 3) (int_bound 1_000_000))
+
+let random_query (n, p10, mode, seed) =
+  let rng = Prng.create seed in
+  let h = Gen.gnp rng n (float_of_int p10 /. 10.) in
+  let vertices = List.init n Fun.id in
+  let free =
+    match mode with
+    | 0 -> []
+    | 1 -> vertices
+    | _ -> List.filter (fun _ -> Prng.bool rng) vertices
+  in
+  Cq.make h free
+
+let core_differential_qcheck =
+  [
+    QCheck.Test.make ~name:"counting minimality matches the enumeration"
+      ~count:400 arb_query
+      (fun params ->
+         let q = random_query params in
+         Bool.equal (Minimize.is_counting_minimal q)
+           (Core_ref.is_counting_minimal q));
+    QCheck.Test.make ~name:"counting core is isomorphic to the enumeration's"
+      ~count:400 arb_query
+      (fun params ->
+         let q = random_query params in
+         Cq.isomorphic (Minimize.counting_core q) (Core_ref.counting_core q));
+    QCheck.Test.make
+      ~name:"shrinking endomorphism fixes X and has a proper image" ~count:400
+      arb_query
+      (fun params ->
+         let q = random_query params in
+         let h = q.Cq.graph in
+         match Minimize.shrinking_endomorphism q with
+         | None -> Core_ref.is_counting_minimal q
+         | Some endo ->
+           (not (Core_ref.is_counting_minimal q))
+           && Wlcq_hom.Brute.is_homomorphism h h endo
+           && Wlcq_util.Bitset.for_all (fun x -> endo.(x) = x) q.Cq.free
+           && List.length (List.sort_uniq Int.compare (Array.to_list endo))
+              < Graph.num_vertices h);
+  ]
 
 let minimize_qcheck =
   [
@@ -1269,8 +1337,9 @@ let () =
             test_core_preserves_answers;
           Alcotest.test_case "shrinking endomorphism" `Quick
             test_shrinking_endomorphism_properties;
+          Alcotest.test_case "tripped budget" `Quick test_core_tripped_budget;
         ] );
-      qsuite "minimize-properties" minimize_qcheck;
+      qsuite "minimize-properties" (minimize_qcheck @ core_differential_qcheck);
       ( "extension",
         [
           Alcotest.test_case "gamma star clique" `Quick test_gamma_star_clique;

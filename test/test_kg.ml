@@ -3,6 +3,9 @@ module G = Wlcq_graph
 module Core = Wlcq_core
 module Prng = Wlcq_util.Prng
 module Kg_kwl_ref = Wlcq_oracle.Kg_kwl_ref
+module Core_ref = Wlcq_oracle.Core_ref
+module Bitset = Wlcq_util.Bitset
+module Budget = Wlcq_robust.Budget
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -247,6 +250,15 @@ let test_kcq_typed_star_dimension () =
     (Kcq.is_counting_minimal p.Kparser.query);
   check_int "typed star dimension" 2 (Kcq.wl_dimension p.Kparser.query)
 
+let test_kcq_core_tripped_budget () =
+  let budget = Budget.create () in
+  Budget.trip budget Budget.Deadline;
+  let q = Kparser.parse_exn "(x) := exists y1 y2 . r(x, y1) & r(y1, y2)" in
+  check_bool "counting_core raises" true
+    (match Kcq.counting_core ~budget q.Kparser.query with
+     | _ -> false
+     | exception Budget.Exhausted Budget.Deadline -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Kparser                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -327,6 +339,121 @@ let same_partition a b =
           | Some y', Some x' -> y' = y && x' = x
           | Some _, None | None, Some _ -> false)
        a b
+
+(* ---- counting cores against the enumeration (Core_ref) ---- *)
+
+(* The differential's random queries: G(n, p) with n = 1..7 and a free
+   set that is empty, full or random, as plain queries (for the
+   [of_cq] encoding) and as directed knowledge graphs with two
+   relations and vertex labels 0..2 (label 0 is the wildcard). *)
+let arb_query =
+  QCheck.(quad (int_range 1 7) (int_range 1 9) (int_range 0 3)
+            (int_bound 1_000_000))
+
+let random_free rng n mode =
+  let vertices = List.init n Fun.id in
+  match mode with
+  | 0 -> []
+  | 1 -> vertices
+  | _ -> List.filter (fun _ -> Prng.bool rng) vertices
+
+let random_plain_query (n, p10, mode, seed) =
+  let rng = Prng.create seed in
+  let h = G.Gen.gnp rng n (float_of_int p10 /. 10.) in
+  Core.Cq.make h (random_free rng n mode)
+
+let random_kg_query (n, p10, mode, seed) =
+  let rng = Prng.create seed in
+  let p = float_of_int p10 /. 20. in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      for l = 0 to 1 do
+        if u <> v && Prng.float rng < p then edges := (u, v, l) :: !edges
+      done
+    done
+  done;
+  let vertex_labels =
+    Array.init n (fun _ -> if Prng.int rng 3 = 0 then 1 + Prng.int rng 2 else 0)
+  in
+  Kcq.make (Kgraph.create ~n ~vertex_labels ~edges:!edges)
+    (random_free rng n mode)
+
+(* [a] and [b] are isomorphic by a map sending the i-th free variable
+   of [a] to the i-th of [b]: a bijective homomorphism that keeps every
+   vertex label, between graphs with equally many labelled edges *)
+let kg_isomorphic (a : Kcq.t) (b : Kcq.t) =
+  let ga = a.Kcq.graph and gb = b.Kcq.graph in
+  let n = Kgraph.num_vertices ga in
+  let isomorphism f =
+    List.length (List.sort_uniq Int.compare (Array.to_list f)) = n
+    && List.for_all
+         (fun v -> Kgraph.vertex_label ga v = Kgraph.vertex_label gb f.(v))
+         (List.init n Fun.id)
+  in
+  n = Kgraph.num_vertices gb
+  && Kgraph.num_edges ga = Kgraph.num_edges gb
+  && Kcq.num_free a = Kcq.num_free b
+  &&
+  let pins =
+    List.combine
+      (Array.to_list (Kcq.free_vars a))
+      (Array.to_list (Kcq.free_vars b))
+  in
+  try
+    Khom.iter ~pins ga gb (fun f -> if isomorphism f then raise Exit);
+    false
+  with Exit -> true
+
+(* the plain query behind an [of_cq]-encoded one *)
+let to_cq (q : Kcq.t) =
+  Core.Cq.make (Kgraph.underlying q.Kcq.graph) (Bitset.to_list q.Kcq.free)
+
+(* the pinned retraction over [Khom.iter], checked as a witness *)
+let check_retraction (q : Kcq.t) ~minimal =
+  let h = q.Kcq.graph in
+  match
+    Core.Minimize.retraction ~free:q.Kcq.free (fun ~pins ~candidates ->
+        Khom.iter ~pins ~candidates h h)
+  with
+  | None -> minimal
+  | Some endo ->
+    (not minimal)
+    && Khom.is_homomorphism h h endo
+    && Bitset.for_all (fun x -> endo.(x) = x) q.Kcq.free
+    && List.length (List.sort_uniq Int.compare (Array.to_list endo))
+       < Kgraph.num_vertices h
+
+let core_qcheck =
+  [
+    QCheck.Test.make ~name:"encoded counting minimality matches Minimize"
+      ~count:300 arb_query
+      (fun params ->
+         let q = random_plain_query params in
+         let kq = Kcq.of_cq q in
+         let minimal = Core.Minimize.is_counting_minimal q in
+         Bool.equal (Kcq.is_counting_minimal kq) minimal
+         && check_retraction kq ~minimal);
+    QCheck.Test.make ~name:"encoded counting core is isomorphic to Minimize's"
+      ~count:300 arb_query
+      (fun params ->
+         let q = random_plain_query params in
+         Core.Cq.isomorphic
+           (to_cq (Kcq.counting_core (Kcq.of_cq q)))
+           (Core.Minimize.counting_core q));
+    QCheck.Test.make ~name:"kg counting minimality matches the enumeration"
+      ~count:300 arb_query
+      (fun params ->
+         let q = random_kg_query params in
+         let minimal = Core_ref.kg_is_counting_minimal q in
+         Bool.equal (Kcq.is_counting_minimal q) minimal
+         && check_retraction q ~minimal);
+    QCheck.Test.make ~name:"kg counting core is isomorphic to the enumeration's"
+      ~count:300 arb_query
+      (fun params ->
+         let q = random_kg_query params in
+         kg_isomorphic (Kcq.counting_core q) (Core_ref.kg_counting_core q));
+  ]
 
 let kg_qcheck =
   [
@@ -421,6 +548,8 @@ let () =
             test_kcq_core_preserves_answers;
           Alcotest.test_case "typed star dimension" `Quick
             test_kcq_typed_star_dimension;
+          Alcotest.test_case "tripped budget" `Quick
+            test_kcq_core_tripped_budget;
         ] );
       ( "kparser",
         [
@@ -428,5 +557,5 @@ let () =
           Alcotest.test_case "errors" `Quick test_kparser_errors;
         ] );
       ( "kspec", [ Alcotest.test_case "parse" `Quick test_kspec ] );
-      qsuite "properties" kg_qcheck;
+      qsuite "properties" (kg_qcheck @ core_qcheck);
     ]
