@@ -51,14 +51,15 @@ module Outcome = Wlcq_robust.Outcome
       ending there and the adjacency rows of its assigned [H[X]]
       neighbours (all of [V(G)] with neither), and the last position
       adds its popcount.  [budget] is ticked per sweep and join node.
-    - the packed component DP, on packed-key tables
-      ([Wlcq_hom.Dp_key]) with the {!Wlcq_util.Count} int63 fast
-      path; the bag enumeration is restricted to per-position
-      candidate sets (target support, unary component predicates, arc
-      consistency over the [H[X]] edges) with constraints checked as
-      soon as their scope is assigned, and each constraint lives in
-      the smallest bag covering its scope.  [budget] is ticked per
-      bag-enumeration node.
+    - the packed component DP: {!Wlcq_hom.Td_count.run}, the loop
+      that counts homomorphisms, run on [H[X]] over a decomposition of
+      the contract [Γ(H,X)[X]], with one check per attached component
+      (its predicate [P_i], memoised on the images of [δ_i]).  Its
+      candidate sets are the target support, cut down by the unary
+      predicates and by arc consistency over the edges of [H[X]].
+      [budget] is ticked every 64 enumeration steps, as for
+      homomorphism counts, not once per node, and by each predicate's
+      pinned search.
     @raise Budget.Exhausted when [budget] trips. *)
 val count_answers : ?budget:Budget.t -> Cq.t -> Graph.t -> Wlcq_util.Bigint.t
 

@@ -267,6 +267,8 @@ let sort_cells p k =
    final cell count: the level's trace. *)
 let refine_part p lvl h =
   let h = ref h in
+  (* lint: allow R7 one refinement is O((n + m) log n) steps; the search
+     polls its node limit and budget once per node, between refinements *)
   while p.qlen > 0 do
     let w = p.queue.(p.qhead) in
     p.qhead <- (if p.qhead + 1 = p.n then 0 else p.qhead + 1);
@@ -274,6 +276,8 @@ let refine_part p lvl h =
     p.inq.(w) <- false;
     let k = count_from p w in
     sort_cells p k;
+    (* lint: allow R7 the split passes of one refinement, O((n + m) log n)
+       steps in all, between the search's per-node polls *)
     for j = 0 to k - 1 do h := split p lvl p.tcells.(j) !h done
   done;
   mix !h p.cells

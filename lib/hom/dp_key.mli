@@ -1,13 +1,14 @@
 (** Flat sparse DP tables keyed by packed bag assignments.
 
-    Shared machinery for the counting DPs ({!Td_count} and
-    [Wlcq_core.Fast_count]).  A bag assignment — an [int array] of
-    target vertices, one per (sorted) bag vertex — packs little-endian
-    into a single immediate int whenever [arity * ceil(log2 n) <= 62]
-    (the base-n encoding of the k-WL engine); restriction onto a subset
-    of positions is then shift-and-mask with no allocation.  Larger
-    bags fall back to [int array]-keyed hashtables with structural
-    per-element equality, so results never depend on hash quality. *)
+    The table machinery of {!Td_count}'s DP loop (which
+    [Wlcq_core.Fast_count] runs too) and of the test-only nice DP.  A
+    bag assignment — an [int array] of target vertices, one per
+    (sorted) bag vertex — packs little-endian into a single immediate
+    int whenever [arity * ceil(log2 n) <= 62] (the base-n encoding of
+    the k-WL engine); restriction onto a subset of positions is then
+    shift-and-mask with no allocation.  Larger bags fall back to
+    [int array]-keyed hashtables with structural per-element equality,
+    so results never depend on hash quality. *)
 
 module Count = Wlcq_util.Count
 

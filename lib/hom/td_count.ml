@@ -9,15 +9,27 @@ module Outcome = Wlcq_robust.Outcome
 module Fault = Wlcq_robust.Fault
 module Dispatch = Wlcq_dispatch.Dispatch
 
+(* The table and candidate counters of one caller's runs. *)
+type counters = {
+  entries : Obs.counter;
+  packed_keys : Obs.counter;
+  hashed_keys : Obs.counter;
+  small_values : Obs.counter;
+  big_values : Obs.counter;
+  cand_total : Obs.counter;
+  cand_pruned : Obs.counter;
+}
+
+let counters prefix =
+  let c suffix = Obs.counter (prefix ^ suffix) in
+  { entries = c ".dp_entries"; packed_keys = c ".packed_keys";
+    hashed_keys = c ".hashed_keys"; small_values = c ".int63_values";
+    big_values = c ".bigint_promotions"; cand_total = c ".candidates_total";
+    cand_pruned = c ".candidates_pruned" }
+
+let own = counters "td_count"
 let m_runs = Obs.counter "td_count.runs"
-let m_entries = Obs.counter "td_count.dp_entries"
 let d_bag = Obs.distribution "td_count.bag_size"
-let m_packed_keys = Obs.counter "td_count.packed_keys"
-let m_hashed_keys = Obs.counter "td_count.hashed_keys"
-let m_small_values = Obs.counter "td_count.int63_values"
-let m_big_values = Obs.counter "td_count.bigint_promotions"
-let m_cand_total = Obs.counter "td_count.candidates_total"
-let m_cand_pruned = Obs.counter "td_count.candidates_pruned"
 let m_seq_runs = Obs.counter "td_count.seq_runs"
 let m_par_runs = Obs.counter "td_count.par_runs"
 let m_batch_runs = Obs.counter "td_count.batch_runs"
@@ -48,7 +60,7 @@ let support g =
    that cannot appear in any (restricted) homomorphism are removed.
    Degree- or cardinality-based filters stronger than this are NOT
    sound for homs (a hom need not be injective), so none are used. *)
-let arc_consistent ?candidates ?seed h g =
+let arc_consistent ~counters ?candidates ?seed h g =
   let n = Graph.num_vertices h in
   let ng = Graph.num_vertices g in
   let init u =
@@ -88,8 +100,8 @@ let arc_consistent ?candidates ?seed h g =
   done;
   if Obs.enabled () then begin
     let kept = Array.fold_left (fun a b -> a + Bitset.cardinal b) 0 cand in
-    Obs.add m_cand_total (n * ng);
-    Obs.add m_cand_pruned ((n * ng) - kept)
+    Obs.add counters.cand_total (n * ng);
+    Obs.add counters.cand_pruned ((n * ng) - kept)
   end;
   cand
 
@@ -103,12 +115,6 @@ let seeded_candidates ?candidates ~seed h g =
         match candidates with None -> Bitset.full ng | Some c -> c u
       in
       if Graph.degree h u > 0 then Bitset.inter base seed else base)
-
-let make_candidates ?candidates ~work h g =
-  let seed = support g in
-  if Dispatch.prune_candidates ~work then
-    arc_consistent ?candidates ~seed h g
-  else seeded_candidates ?candidates ~seed h g
 
 (* ------------------------------------------------------------------ *)
 (* Packed engine.                                                      *)
@@ -130,33 +136,66 @@ let work_estimate bags ng =
     bags;
   !acc
 
+type check = { scope : int array; holds : int array -> bool }
+
+(* A check placed in its node: [pos] are its scope's positions in the
+   bag, [buf] the scratch array [holds] reads the images from. *)
+type placed = { pos : int array; buf : int array; test : int array -> bool }
+
+(* Each check in the smallest bag covering its scope, lowest node on
+   ties: the fewer positions its node enumerates, the fewer times the
+   check runs. *)
+let place_checks bags checks =
+  let owned = Array.make (Array.length bags) [] in
+  List.iter
+    (fun ck ->
+       let best = ref (-1) in
+       Array.iteri
+         (fun t b ->
+            if
+              (!best < 0 || Bitset.cardinal b < Bitset.cardinal bags.(!best))
+              && Array.for_all (Bitset.mem b) ck.scope
+            then best := t)
+         bags;
+       if !best < 0 || Array.length ck.scope = 0 then
+         invalid_arg "Td_count.run: a check's scope is empty or in no bag";
+       owned.(!best) <- ck :: owned.(!best))
+    (List.rev checks);
+  owned
+
 (* The DP proper, over precomputed candidate sets.  The table at node t
-   maps each partial homomorphism φ : B_t → V(G) (a hom of H[B_t]) to
-   the number of homomorphisms of H[V_t] → G extending φ, where V_t is
-   the union of the bags in the subtree rooted at t; children are
-   combined by grouping their tables by the restriction to the shared
-   bag intersection (any vertex common to two children's subtrees lies
-   in B_t by (T2), so the product counts every subtree vertex once).
-   Each node's table depends only on its subtree, so disjoint subtrees of the root are
-   independent: workers process whole subtrees (strided over the root's
-   children), touching only tables of their own subtree, and the driver
-   processes the root after joining.  Determinism: a node's table is
-   produced by the same sequence of operations whichever domain runs
-   it, so results (and even hashtable iteration orders) are identical
-   to the sequential run.
+   maps each partial homomorphism φ : B_t → V(G) (a hom of H[B_t]
+   passing the checks placed at t) to the number of homomorphisms of
+   H[V_t] → G extending φ that pass every check placed in the subtree,
+   where V_t is the union of the bags in the subtree rooted at t;
+   children are combined by grouping their tables by the restriction
+   to the shared bag intersection (any vertex common to two children's
+   subtrees lies in B_t by (T2), so the product counts every subtree
+   vertex once).  Each node's table depends only on its subtree, so
+   disjoint subtrees of the root are independent: workers process
+   whole subtrees (strided over the root's children), touching only
+   tables of their own subtree, and the driver processes the root
+   after joining.  Determinism: a node's table is produced by the same
+   sequence of operations whichever domain runs it, so results (and
+   even hashtable iteration orders) are identical to the sequential
+   run.  A check belongs to one node, so only the domain running that
+   node ever calls it.
 
    Budget protocol: workers never raise across the spawn boundary —
    they tick the shared budget (atomic trip flag) and wind down when it
    is no longer live; the driver reads the verdict once after joining.
+   A check that raises [Budget.Exhausted] trips the budget the same
+   way, on the driver too, so no stride skips the join.
    A spawn-site fault (Fault.Domain_spawn) demotes that worker's stride
    to the driver, which processes it sequentially on the very same
    flat tables — results stay byte-identical, only the schedule
    changes. *)
-let run_packed ~budget d h g cand =
+let run ~budget ~counters ?(checks = []) d h g cand =
   let nodes = Graph.num_vertices d.Decomposition.tree in
   let nh = Graph.num_vertices h in
   let ng = Graph.num_vertices g in
   let bags = d.Decomposition.bags in
+  let owned = place_checks bags checks in
   let rooted = Decomposition.rooted d in
   let root = rooted.Decomposition.root in
   let parent = rooted.Decomposition.parent in
@@ -206,6 +245,20 @@ let run_packed ~budget d h g cand =
           done;
           Array.of_list !js)
     in
+    (* checks_at.(i): the checks whose scope's last position is i, in
+       the order given *)
+    let checks_at =
+      let at = Array.make (max 1 arity) [] in
+      List.iter
+        (fun ck ->
+           let pos = positions_in bag_arr (Array.to_list ck.scope) in
+           let last = Array.fold_left max 0 pos in
+           at.(last) <-
+             { pos; buf = Array.make (Array.length pos) 0; test = ck.holds }
+             :: at.(last))
+        (List.rev owned.(t));
+      Array.map Array.of_list at
+    in
     (* flatten each position's candidate set once; unconstrained
        positions then iterate a plain int array, while edge-constrained
        positions iterate candidates ∩ neighbours of the already-placed
@@ -229,6 +282,19 @@ let run_packed ~budget d h g cand =
       done;
       if !ok then Dp_key.bump c tables.(t) images !value
     in
+    (* do the images placed so far pass the checks in [cs]? *)
+    let passes cs =
+      let pass = ref true and k = ref 0 in
+      while !pass && !k < Array.length cs do
+        let { pos; buf; test } = cs.(!k) in
+        for j = 0 to Array.length pos - 1 do
+          buf.(j) <- images.(pos.(j))
+        done;
+        pass := test buf;
+        incr k
+      done;
+      !pass
+    in
     (* budget enforcement is amortised through a local fuel counter:
        [Budget.tick]/[Budget.live] are out-of-line calls, and paying
        them at every recursion step costs ~4% on the F4 workload —
@@ -247,11 +313,15 @@ let run_packed ~budget d h g cand =
       else if i = arity then emit ()
       else begin
         let es = edges_at.(i) in
+        (* a position with no check makes no call: a run without
+           checks pays one branch per extension for them *)
+        let cks = checks_at.(i) in
+        let unchecked = Array.length cks = 0 in
         if Array.length es = 0 then begin
           let ca = cand_arrs.(i) in
           for k = 0 to Array.length ca - 1 do
             images.(i) <- ca.(k);
-            go (i + 1)
+            if unchecked || passes cks then go (i + 1)
           done
         end
         else begin
@@ -269,14 +339,14 @@ let run_packed ~budget d h g cand =
               done;
               if !okw then begin
                 images.(i) <- w;
-                go (i + 1)
+                if unchecked || passes cks then go (i + 1)
               end
             end
           done
         end
       end
     in
-    go 0;
+    (try go 0 with Budget.Exhausted r -> Budget.trip budget r);
     (* projections are consumed only by this node's emits *)
     Array.iter (fun (_, proj) -> Dp_key.release proj) grouped
   in
@@ -358,11 +428,11 @@ let run_packed ~budget d h g cand =
          else hashed := !hashed + len;
          bigs := !bigs + Dp_key.count_big tbl)
       tables;
-    Obs.add m_entries !entries;
-    Obs.add m_packed_keys !packed;
-    Obs.add m_hashed_keys !hashed;
-    Obs.add m_small_values (!entries - !bigs);
-    Obs.add m_big_values !bigs
+    Obs.add counters.entries !entries;
+    Obs.add counters.packed_keys !packed;
+    Obs.add counters.hashed_keys !hashed;
+    Obs.add counters.small_values (!entries - !bigs);
+    Obs.add counters.big_values !bigs
   end;
   let result =
     match Budget.tripped budget with
@@ -375,14 +445,21 @@ let run_packed ~budget d h g cand =
 (* Packed path shared by the entry points: candidate construction
    (full or lean, per the dispatch decision on the DP work estimate)
    followed by the flat-table DP. *)
+let count_packed ~budget ?candidates ~seed d h g =
+  if Obs.enabled () then Obs.incr m_runs;
+  let work = work_estimate d.Decomposition.bags (Graph.num_vertices g) in
+  let cand =
+    if Dispatch.prune_candidates ~work then
+      arc_consistent ~counters:own ?candidates ~seed h g
+    else seeded_candidates ?candidates ~seed h g
+  in
+  match run ~budget ~counters:own d h g cand with
+  | Ok v -> v
+  | Error r -> raise (Budget.Exhausted r)
+
 let run_packed_path ~budget ?candidates d h g =
   Obs.span "td_count.run" @@ fun () ->
-    if Obs.enabled () then Obs.incr m_runs;
-    let work = work_estimate d.Decomposition.bags (Graph.num_vertices g) in
-    let cand = make_candidates ?candidates ~work h g in
-    match run_packed ~budget d h g cand with
-    | Ok v -> v
-    | Error r -> raise (Budget.Exhausted r)
+    count_packed ~budget ?candidates ~seed:(support g) d h g
 
 let choose h g =
   Dispatch.choose_hom ~nh:(Graph.num_vertices h) ~ng:(Graph.num_vertices g)
@@ -672,14 +749,5 @@ let count_many ?(budget = Budget.unlimited) ?candidates hs g =
                       else Exact.optimal_decomposition h
                     end
                   in
-                  if on then Obs.incr m_runs;
-                  let work = work_estimate d.Decomposition.bags ng in
-                  let cand =
-                    if Dispatch.prune_candidates ~work then
-                      arc_consistent ?candidates ~seed h g
-                    else seeded_candidates ?candidates ~seed h g
-                  in
-                  match run_packed ~budget d h g cand with
-                  | Ok v -> v
-                  | Error r -> raise (Budget.Exhausted r)))
+                  count_packed ~budget ?candidates ~seed d h g))
         hs

@@ -1,13 +1,17 @@
 (** Homomorphism counting by dynamic programming over a tree
-    decomposition of the pattern.
+    decomposition of the pattern: the one DP loop of the library.
 
     This is the classical [O(|V(G)|^{w+1})] algorithm (w = width of the
     decomposition of [H]) that makes homomorphism counts from
-    bounded-treewidth graphs tractable.  It is the computational engine
-    behind the paper's upper bound: Observation 23 computes
-    [|Ans((H,X),G)|] from the counts [|Hom(F_ℓ, G)|], and the graphs
-    [F_ℓ] have treewidth at most [ew(H,X)] (Lemma 16), so each count is
-    produced by this module in polynomial time for fixed width.
+    bounded-treewidth graphs tractable.  It has two callers:
+    - {!count} and its variants count [Hom(H, G)].  Observation 23
+      computes [|Ans((H,X),G)|] from the counts [|Hom(F_ℓ, G)|], and
+      the graphs [F_ℓ] have treewidth at most [ew(H,X)] (Lemma 16), so
+      each count is produced here in polynomial time for fixed width;
+    - [Wlcq_core.Fast_count]'s Corollary 4 engine runs {!run} on [H[X]]
+      over a decomposition of the contract [Γ(H,X)[X]], with one
+      {!check} per quantified component: the extendability predicate
+      of its attachment set.
 
     The DP runs on flat sparse tables keyed by packed bag assignments
     ({!Dp_key}), with an int63-with-overflow-promotion arithmetic fast
@@ -86,3 +90,68 @@ val count_many :
   ?budget:Budget.t ->
   ?candidates:(int -> Wlcq_util.Bitset.t) ->
   Graph.t list -> Graph.t -> Wlcq_util.Bigint.t list
+
+(** {1 The DP loop}
+
+    The pieces {!count} is built from, for engines that count maps of
+    a pattern under extra constraints. *)
+
+(** A counter family: the seven counters [P.dp_entries],
+    [P.packed_keys], [P.hashed_keys], [P.int63_values],
+    [P.bigint_promotions], [P.candidates_total] and
+    [P.candidates_pruned] for a prefix [P].  {!arc_consistent} and
+    {!run} report into the family their caller names; {!count} and
+    its variants report into [td_count].  The loop's own counters
+    ([td_count.seq_runs]/[par_runs], [td_count.bag_size],
+    [dispatch.chose_seq]/[chose_par]) count every run, whoever calls. *)
+type counters
+
+(** [counters prefix] is the family [prefix], registered on first use. *)
+val counters : string -> counters
+
+(** [support g] is the set of vertices of [g] with an incident edge:
+    a pattern vertex with an edge can only map there. *)
+val support : Graph.t -> Wlcq_util.Bitset.t
+
+(** [arc_consistent ~counters ?candidates ?seed h g] is one candidate
+    set per vertex [u] of [h]: [candidates u] (all of [V(g)] by
+    default), intersected with [seed] when [u] has an edge in [h], then
+    refined to the arc-consistency fixpoint over the edges of [h].  It
+    drops only images that no homomorphism respecting the candidates
+    uses.  Adds to [counters]' [candidates_total] and
+    [candidates_pruned]. *)
+val arc_consistent :
+  counters:counters ->
+  ?candidates:(int -> Wlcq_util.Bitset.t) ->
+  ?seed:Wlcq_util.Bitset.t ->
+  Graph.t -> Graph.t -> Wlcq_util.Bitset.t array
+
+(** A predicate on the images of [scope], a non-empty array of pattern
+    vertices.  [holds] receives those images in scope order, in a
+    scratch array the loop reuses: copy it to keep it. *)
+type check = { scope : int array; holds : int array -> bool }
+
+(** [run ~budget ~counters ?checks d h g cand] is the number of
+    homomorphisms [φ : h → g] with [φ(u) ∈ cand.(u)] for every [u] that
+    pass every check, over the decomposition [d] of [h] (not
+    validated).  Each check lives in the smallest bag covering its
+    scope (lowest node on ties) and is called once the scope's last
+    position in that bag is assigned, on the images placed so far;
+    positions with no check make no call.  A check's answer must
+    depend only on the images it is given.  Only the node owning a
+    check calls it, on whichever domain runs that node, so a check may
+    keep private mutable state (a memo) even when the run fans out.
+
+    [budget] is ticked every 64 enumeration steps.  A check may raise
+    [Budget.Exhausted] (from polling [budget]): the loop trips [budget]
+    with its reason, winds down as on any trip and returns [Error].
+    Tables go back to {!Dp_key}'s pool either way.
+    @raise Invalid_argument when a check's scope is empty or lies in no
+    bag of [d]. *)
+val run :
+  budget:Budget.t ->
+  counters:counters ->
+  ?checks:check list ->
+  Wlcq_treewidth.Decomposition.t -> Graph.t -> Graph.t ->
+  Wlcq_util.Bitset.t array ->
+  (Wlcq_util.Bigint.t, Budget.reason) result

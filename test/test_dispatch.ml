@@ -207,6 +207,77 @@ let test_kernel_differential () =
      property compared the DP with itself *)
   check_bool "the kernel answered" true (chose_enum () > before)
 
+(* Each counting engine reports its tables and candidates into its own
+   family of seven counters; wlbench reads both families' dp_entries
+   per request, so neither engine may move the other's. *)
+let family prefix =
+  List.map
+    (fun c -> prefix ^ "." ^ c)
+    [ "dp_entries"; "packed_keys"; "hashed_keys"; "int63_values";
+      "bigint_promotions"; "candidates_total"; "candidates_pruned" ]
+
+let counter_value name =
+  match Obs.find_counter name with Some c -> Obs.counter_value c | None -> 0
+
+(* how far [f] moves each of [names], with metrics armed *)
+let moved names f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let before = List.map counter_value names in
+  f ();
+  List.map2 (fun name b -> (name, counter_value name - b)) names before
+
+let check_family_moved label prefix deltas =
+  let d c =
+    Option.value ~default:0 (List.assoc_opt (prefix ^ "." ^ c) deltas)
+  in
+  List.iter
+    (fun c -> check_bool (label ^ " moves " ^ prefix ^ "." ^ c) true (d c > 0))
+    [ "dp_entries"; "packed_keys"; "int63_values"; "candidates_total";
+      "candidates_pruned" ];
+  (* no bag here is wide enough to hash, nor any count past int63, so
+     those two only complete the partitions of dp_entries *)
+  check_int (label ^ ": packed + hashed keys") (d "dp_entries")
+    (d "packed_keys" + d "hashed_keys");
+  check_int (label ^ ": int63 + promoted values") (d "dp_entries")
+    (d "int63_values" + d "bigint_promotions")
+
+let check_family_still label deltas =
+  List.iter (fun (name, v) -> check_int (label ^ " leaves " ^ name) 0 v) deltas
+
+let test_counter_families_apart () =
+  (* component checks only: a 3-free quantified path; the two isolated
+     host vertices are pruned from every candidate set *)
+  let q =
+    (Wlcq_core.Parser.parse_exn
+       "(x0, x1, x2) := exists y0 y1 . E(x0, y0) & E(y0, x1) & E(x1, y1) \
+        & E(y1, x2)").Wlcq_core.Parser.query
+  in
+  let g = Ops.disjoint_union (Builders.petersen ()) (Graph.empty 2) in
+  let fast = family "fast_count" and td = family "td_count" in
+  Steer.with_calibration Steer.packed (fun () ->
+      let deltas =
+        moved (fast @ td) (fun () ->
+            check_bool "packed answer count" true
+              (Bigint.equal
+                 (Fast_count.count_answers q g)
+                 (Bigint.of_int (Cq.count_answers q g))))
+      in
+      check_family_moved "Fast_count" "fast_count" deltas;
+      check_family_still "Fast_count"
+        (List.filter (fun (name, _) -> List.mem name td) deltas);
+      let deltas =
+        moved (fast @ td) (fun () ->
+            check_bool "packed hom count" true
+              (Bigint.equal
+                 (Td_count.count (Builders.cycle 5) g)
+                 (Td_ref.count (Builders.cycle 5) g)))
+      in
+      check_family_moved "Td_count" "td_count" deltas;
+      check_family_still "Td_count"
+        (List.filter (fun (name, _) -> List.mem name fast) deltas))
+
 (* ------------------------------------------------------------------ *)
 (* Differential: k-WL on random graphs and CFI pairs                   *)
 (* ------------------------------------------------------------------ *)
@@ -411,6 +482,8 @@ let () =
               test_cfi_hom_counts_engines;
             Alcotest.test_case "kernel = Cq = packed on mixed queries" `Quick
               test_kernel_differential;
+            Alcotest.test_case "counter families stay apart" `Quick
+              test_counter_families_apart;
           ] );
       ( "cost model",
         [

@@ -7,6 +7,7 @@ module Steer = Wlcq_oracle.Steer
 module Dispatch = Wlcq_dispatch.Dispatch
 module Prng = Wlcq_util.Prng
 module Bigint = Wlcq_util.Bigint
+module Budget = Wlcq_robust.Budget
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -248,6 +249,90 @@ let random_candidates rng nh ng =
   in
   fun u -> sets.(u)
 
+let counters = Td_count.counters "td_count"
+
+(* [random_checks rng d] is 0 to 3 pure checks, each scoped on 1 to 3
+   vertices of one non-empty bag of [d]; each keeps the image tuples
+   whose salted hash is not divisible by 3. *)
+let random_checks rng d =
+  let bags =
+    Array.of_list
+      (List.filter_map
+         (fun b ->
+            match Bitset.to_list b with [] -> None | vs -> Some (Array.of_list vs))
+         (Array.to_list d.Wlcq_treewidth.Decomposition.bags))
+  in
+  List.init (Prng.int rng 4) (fun _ ->
+      let bag = Array.copy bags.(Prng.int rng (Array.length bags)) in
+      Prng.shuffle rng bag;
+      let scope = Array.sub bag 0 (1 + Prng.int rng (min 3 (Array.length bag))) in
+      let salt = Prng.int rng 1_000_000 in
+      let holds images =
+        Array.fold_left (fun a v -> ((a * 31) + v) land 0xffffff) salt images
+        mod 3
+        <> 0
+      in
+      { Td_count.scope; holds })
+
+(* |Hom(h, g)| filtered by [checks], by enumeration *)
+let brute_checked checks h g =
+  let n = ref 0 in
+  Brute.iter h g (fun phi ->
+      if
+        List.for_all
+          (fun { Td_count.scope; holds } -> holds (Array.map (Array.get phi) scope))
+          checks
+      then incr n);
+  Bigint.of_int !n
+
+(* A check raising [Budget.Exhausted] on its [n]-th call, under a live
+   budget, on both schedules: the loop returns [Error] and the budget
+   is tripped; the same run without the raise counts exactly. *)
+let test_raising_check_trips () =
+  let h, d = Fanout.union (Builders.path 3) (Builders.cycle 4) in
+  let g = Builders.petersen () in
+  let cand = Td_count.arc_consistent ~counters h g in
+  (* the path's endpoints land on distinct vertices *)
+  let check ~raise_at =
+    let calls = Atomic.make 0 in
+    { Td_count.scope = [| 0; 2 |];
+      holds =
+        (fun images ->
+           if Atomic.fetch_and_add calls 1 + 1 = raise_at then
+             raise (Budget.Exhausted Budget.Deadline);
+           images.(0) <> images.(1)) }
+  in
+  let expected = brute_checked [ check ~raise_at:0 ] h g in
+  List.iter
+    (fun (schedule, threshold) ->
+       Steer.with_calibration
+         { Steer.packed with Dispatch.dp_parallel_min = threshold }
+         (fun () ->
+            let budget = Budget.create () in
+            let tripped, fanned =
+              Fanout.fanned_out (fun () ->
+                  Td_count.run ~budget ~counters ~checks:[ check ~raise_at:5 ]
+                    d h g cand)
+            in
+            check_bool (schedule ^ ": fanned out as forced") true
+              (fanned || threshold > 0);
+            (match tripped with
+             | Error Budget.Deadline -> ()
+             | Error r ->
+               Alcotest.failf "%s: tripped by %s" schedule
+                 (Budget.reason_to_string r)
+             | Ok _ -> Alcotest.failf "%s: a raising check must trip" schedule);
+            check_bool (schedule ^ ": budget tripped") true
+              (Option.is_some (Budget.tripped budget));
+            match
+              Td_count.run ~budget:(Budget.create ()) ~counters
+                ~checks:[ check ~raise_at:0 ] d h g cand
+            with
+            | Ok v ->
+              check_bool (schedule ^ ": rerun exact") true (Bigint.equal v expected)
+            | Error _ -> Alcotest.failf "%s: rerun tripped" schedule))
+    [ ("parallel", 0); ("sequential", max_int) ]
+
 let packed_vs_reference_qcheck =
   [
     QCheck.Test.make ~name:"packed td count equals reference oracle" ~count:80
@@ -296,14 +381,30 @@ let packed_vs_reference_qcheck =
            Fanout.union (Gen.gnp rng nh 0.6) (Gen.gnp rng nh 0.5)
          in
          let g = Gen.gnp rng ng 0.4 in
+         (* the loop itself, with 0-3 checks: both schedules must count
+            what a filtered enumeration counts *)
+         let checks = random_checks rng d in
+         let cand = Td_count.arc_consistent ~counters h g in
          let run threshold =
            Steer.with_calibration
              { Steer.packed with Dispatch.dp_parallel_min = threshold }
-             (fun () -> Td_count.count_with_decomposition d h g)
+             (fun () ->
+                ( Td_count.count_with_decomposition d h g,
+                  Td_count.run ~budget:Budget.unlimited ~counters ~checks d
+                    h g cand ))
          in
-         let par, fanned = Fanout.fanned_out (fun () -> run 0) in
-         let seq = run max_int in
-         fanned && String.equal (Bigint.to_string par) (Bigint.to_string seq));
+         let (par, par_checked), fanned =
+           Fanout.fanned_out (fun () -> run 0)
+         in
+         let seq, seq_checked = run max_int in
+         let expected = Bigint.to_string (brute_checked checks h g) in
+         let checked = function
+           | Ok v -> String.equal (Bigint.to_string v) expected
+           | Error _ -> false
+         in
+         fanned
+         && String.equal (Bigint.to_string par) (Bigint.to_string seq)
+         && checked par_checked && checked seq_checked);
     QCheck.Test.make ~name:"packed nice count equals reference oracle"
       ~count:60
       QCheck.(triple (int_range 1 6) (int_range 1 9) (int_bound 100000))
@@ -469,6 +570,8 @@ let () =
           Alcotest.test_case "matches brute" `Quick test_td_matches_brute_known;
           Alcotest.test_case "large counts" `Quick test_td_large_count;
           Alcotest.test_case "nice DP matches" `Quick test_nice_count_matches;
+          Alcotest.test_case "a raising check is the run's trip" `Quick
+            test_raising_check_trips;
         ] );
       qsuite "td-properties" td_qcheck;
       ( "packed-engine",

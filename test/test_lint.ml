@@ -104,6 +104,20 @@ let test_r7_unbudgeted_call () =
   check_count "R7 count on lib/xmod_entry" "lib/xmod_entry.ml" "R7" 1;
   message_of "lib/xmod_entry.ml" "R7" "drain_budgeted"
 
+let test_r7_local_value_no_call () =
+  (* a parameter, a let value and a case variable named [counters]
+     are read, never called: the unpolled top-level [counters] stays
+     unreachable from both entries *)
+  check_count "R7 count on lib/good_shadowing_value"
+    "lib/good_shadowing_value.ml" "R7" 0
+
+let test_r7_local_value_no_poll () =
+  (* the array [run] shadows the polling function [run]: reading it
+     does not poll, so the nested loop is a finding *)
+  check_count "R7 count on lib/bad_shadowed_poll" "lib/bad_shadowed_poll.ml"
+    "R7" 1;
+  message_of "lib/bad_shadowed_poll.ml" "R7" "sweep_budgeted"
+
 let test_r5_retired () =
   (* R5's syntactic check is subsumed by R7's reachability analysis;
      the id no longer parses, but pragmas naming it are pointed at the
@@ -303,6 +317,10 @@ let () =
             test_r7_cross_module;
           Alcotest.test_case "R7 flags the unbudgeted polling call" `Quick
             test_r7_unbudgeted_call;
+          Alcotest.test_case "R7 local value is not a call" `Quick
+            test_r7_local_value_no_call;
+          Alcotest.test_case "R7 local value does not poll" `Quick
+            test_r7_local_value_no_poll;
           Alcotest.test_case "R5 retired into R7" `Quick test_r5_retired;
           Alcotest.test_case "R8 exception containment" `Quick test_r8_fires;
           Alcotest.test_case "R8 witness chain crosses modules" `Quick

@@ -15,10 +15,15 @@
      polls inside the lambda propagate through the enclosing function;
    - a [let]-bound nested function is its own node, named
      [outer.inner], and bare calls resolve through the scope chain;
+   - a bare name bound by a parameter, a [let] value or a case or
+     [for] pattern is a read of that value, not a call: it shadows any
+     same-named function (a local function shadows such a value in
+     turn);
    - handler context is syntactic: a [try]/[match ... with exception]
      whose guard-free patterns cover an exception class masks it. *)
 
 open Parsetree
+module SS = Set.Make (String)
 
 type exn_class =
   | Exhausted  (* Budget.Exhausted: the sanctioned cooperative unwind *)
@@ -227,6 +232,19 @@ let binding_name pat =
   | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
   | _ -> None
 
+(* The variables a pattern binds. *)
+let pattern_vars p =
+  let acc = ref [] in
+  let pat self p =
+    (match p.ppat_desc with
+     | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
+     | _ -> ());
+    Ast_iterator.default_iterator.pat self p
+  in
+  let it = { Ast_iterator.default_iterator with pat } in
+  it.pat it p;
+  !acc
+
 (* Labelled/optional parameter names of a function binding's fun-chain
    (feeds R11: io.ml wrappers must take an explicit timeout bound). *)
 let rec param_labels e =
@@ -250,6 +268,25 @@ let scan ~file ~in_lib ~hot ~report (str : structure) =
   let cur_loop = ref (-1) in
   let loop_stack = ref [] in
   let handlers = ref [] in
+  (* names bound as values in the enclosing lexical scopes *)
+  let locals = ref SS.empty in
+  let with_values names f =
+    let saved = !locals in
+    locals := SS.union saved (SS.of_list names);
+    f ();
+    locals := saved
+  in
+  (* the scope a [let] opens: a named function is a node of its own and
+     shadows a value of its name; any other binding binds its
+     pattern's variables as values *)
+  let let_scope vbs =
+    List.fold_left
+      (fun s vb ->
+         match (binding_name vb.pvb_pat, is_function_expr vb.pvb_expr) with
+         | Some name, true -> SS.remove name s
+         | _ -> SS.union s (SS.of_list (pattern_vars vb.pvb_pat)))
+      !locals vbs
+  in
   let new_fn ~path ~loc ~is_rec ~params =
     let f =
       { fn_path = path; fn_loc = loc; fn_rec = is_rec; fn_params = params;
@@ -317,13 +354,16 @@ let scan ~file ~in_lib ~hot ~report (str : structure) =
     { Ast_iterator.default_iterator with expr = (fun _ e -> !expr_ref e) }
   in
   let ident_use ~path ~loc ~labels =
-    match budget_poll path with
-    | Some raises ->
+    match (path, budget_poll path) with
+    | [ x ], _ when SS.mem x !locals ->
+      (* a local value, whatever function shares its name *)
+      ()
+    | _, Some raises ->
       mark_poll ();
       if raises then
         add_raise ~exn:Exhausted
           ~via:(String.concat "." (strip_stdlib path)) ~loc
-    | None -> (
+    | _, None -> (
       (match stdlib_raiser path with
        | Some (exn, via) -> add_raise ~exn ~via ~loc
        | None -> ());
@@ -336,21 +376,29 @@ let scan ~file ~in_lib ~hot ~report (str : structure) =
   let rec expr e =
     match e.pexp_desc with
     | Pexp_let (rf, vbs, body) ->
+      let saved = !locals in
+      let inner = let_scope vbs in
+      (match rf with
+       | Asttypes.Recursive -> locals := inner
+       | Asttypes.Nonrecursive -> ());
       List.iter (value_binding rf) vbs;
-      expr body
-    | Pexp_fun (_, default, _, fbody) ->
+      locals := inner;
+      expr body;
+      locals := saved
+    | Pexp_fun (_, default, param, fbody) ->
       if !cur_loop >= 0 then report_r9 e.pexp_loc "a closure";
       Option.iter expr default;
-      expr fbody
+      with_values (pattern_vars param) (fun () -> expr fbody)
     | Pexp_function cases ->
       if !cur_loop >= 0 then report_r9 e.pexp_loc "a closure";
       List.iter case cases
     | Pexp_newtype (_, fbody) -> expr fbody
-    | Pexp_for (_, lo, hi, _, body) ->
+    | Pexp_for (index, lo, hi, _, body) ->
       (* bounds evaluate once, outside the loop context *)
       expr lo;
       expr hi;
-      in_loop e.pexp_loc (fun () -> expr body)
+      in_loop e.pexp_loc (fun () ->
+          with_values (pattern_vars index) (fun () -> expr body))
     | Pexp_while (cond, body) ->
       in_loop e.pexp_loc (fun () ->
           expr cond;
@@ -405,8 +453,9 @@ let scan ~file ~in_lib ~hot ~report (str : structure) =
     | Pexp_tuple parts -> List.iter expr parts
     | _ -> expr e
   and case c =
-    Option.iter expr c.pc_guard;
-    expr c.pc_rhs
+    with_values (pattern_vars c.pc_lhs) (fun () ->
+        Option.iter expr c.pc_guard;
+        expr c.pc_rhs)
   and in_loop loc body =
     let l, idx = add_loop loc in
     let saved = !cur_loop in
